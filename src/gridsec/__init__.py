@@ -17,6 +17,7 @@ from .network import (
     Network,
     NetworkError,
     Node,
+    NotSpanningTreeError,
     ParseError,
     Switchover,
     ValidationError,
@@ -63,6 +64,7 @@ __all__ = [
     "Network",
     "NetworkError",
     "Node",
+    "NotSpanningTreeError",
     "Oracle",
     "ParseError",
     "PenaltyWeights",

@@ -116,13 +116,11 @@ def cmd_loadflow(args) -> int:
         if unknown:
             return _fail(f"unknown edge ids {sorted(unknown)}")
         cfg = net.Configuration(cfg.edges - set(args.deactivate) | set(args.activate))
-    if not net.is_spanning_tree(grid, cfg):
-        return _fail("configuration is not a spanning tree")
-    report = loadflow.evaluate_configuration(grid, cfg, args.tol)
+    solution = loadflow.solve_tree(grid, cfg)
+    report = loadflow.check_compliance(grid, cfg, solution, args.tol)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
-        solution = loadflow.solve_loadflow(loadflow.assemble_system(grid, cfg))
         for nid in sorted(solution.u):
             u = solution.u[nid]
             print(f"node {nid:>4}: |U| = {abs(u):12.3f} V  ({u.real:.3f} {u.imag:+.3f}j)")
@@ -358,7 +356,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(f"cannot read {exc.filename}")
-    except (net.NetworkError, grover.SearchSpaceError, ValueError, json.JSONDecodeError) as exc:
+    except (
+        net.NetworkError,
+        grover.SearchSpaceError,
+        loadflow.SingularSystemError,
+        ValueError,
+        json.JSONDecodeError,
+    ) as exc:
         return _fail(str(exc))
 
 

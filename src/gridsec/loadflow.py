@@ -1,10 +1,18 @@
 """Complex linear load flow for a configuration, with bound checking.
 
-MSR node voltages are the unknowns of a dense complex system; OS nodes
-carry fixed voltages that move into the right-hand side.  Loads follow a
-constant-impedance model: a node with complex power S at nominal voltage
-U_nom draws the current ``U * Y`` with admittance ``Y = conj(S) / U_nom^2``,
-which keeps the balance equations linear.
+Loads follow a constant-impedance model: a node with complex power S at
+nominal voltage U_nom draws the current ``U * Y`` with admittance
+``Y = conj(S) / U_nom^2``, which keeps the balance equations linear.  OS
+nodes carry fixed voltages; MSR node voltages are the unknowns.
+
+Every configuration is a spanning tree, so the balance matrix is a tree
+Laplacian plus diagonal load admittances.  :func:`solve_tree` solves it
+exactly in O(n) by the backward/forward sweep of radial load flow
+(Shirmohammadi et al., IEEE TPWRS 1988): MSR nodes are eliminated leaf
+first toward the fixed OS nodes, then one forward pass substitutes back.
+The dense system of :func:`assemble_system` and :func:`solve_loadflow`
+(LU with a condition-number guard) stays as the reference the tree solve
+is tested against.
 
 Compliance means every node voltage magnitude stays inside its band and
 every active cable current stays under its rating.
@@ -16,16 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Configuration, Network, is_spanning_tree
+from .network import OS, Configuration, Network, NotSpanningTreeError, is_spanning_tree
 
 __all__ = [
     "SingularSystemError",
     "LinearSystem",
     "VoltageSolution",
+    "Admittances",
     "ComplianceReport",
     "admittance",
     "assemble_system",
     "solve_loadflow",
+    "solve_tree",
     "check_compliance",
     "evaluate_configuration",
     "problem_edges",
@@ -34,7 +44,7 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-9
 CONDITION_LIMIT = 1e12
-RESIDUAL_ALARM = 1e-6
+PIVOT_LIMIT = 1e-12
 
 
 class SingularSystemError(Exception):
@@ -57,6 +67,44 @@ class VoltageSolution:
 
     u: dict[int, complex]
     residual: float
+
+
+@dataclass(frozen=True)
+class Admittances:
+    """Per-network constants of :func:`solve_tree`, computed once.
+
+    Nodes are numbered by their position in ``network.nodes``.  ``edges``
+    maps an edge id to ``(i, j, 1/z, |1/z|)`` over those positions; ``loads``
+    holds every node's load admittance, and ``fixed`` every OS node's
+    voltage and ``None`` for an MSR node.
+    """
+
+    node_ids: tuple[int, ...]
+    root: int
+    edges: dict[int, tuple[int, int, complex, float]]
+    loads: tuple[complex, ...]
+    fixed: tuple[complex | None, ...]
+
+    @classmethod
+    def of(cls, network: Network) -> Admittances:
+        node_ids = tuple(node.id for node in network.nodes)
+        position = {nid: k for k, nid in enumerate(node_ids)}
+        edges = {}
+        for edge in network.edges:
+            y = 1.0 / edge.z
+            edges[edge.id] = (position[edge.n], position[edge.m], y, abs(y))
+        return cls(
+            node_ids=node_ids,
+            root=position[network.os_ids[0]],
+            edges=edges,
+            loads=tuple(
+                0j if node.kind == OS else admittance(node.load, node.u_nom)
+                for node in network.nodes
+            ),
+            fixed=tuple(
+                complex(node.u_nom) if node.kind == OS else None for node in network.nodes
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -100,7 +148,7 @@ def assemble_system(network: Network, cfg: Configuration) -> LinearSystem:
     with m ranging over cfg neighbors of n.
     """
     if not is_spanning_tree(network, cfg):
-        raise ValueError("configuration is not a spanning tree")
+        raise NotSpanningTreeError("configuration is not a spanning tree")
     unknown_index = {nid: col for col, nid in enumerate(network.msr_ids)}
     fixed = {
         nid: complex(network.node_by_id[nid].u_nom) for nid in network.os_ids
@@ -146,6 +194,96 @@ def solve_loadflow(system: LinearSystem, condition_limit: float = CONDITION_LIMI
     return VoltageSolution(u=u, residual=residual)
 
 
+def solve_tree(
+    network: Network, cfg: Configuration, admittances: Admittances | None = None
+) -> VoltageSolution:
+    """Exact load flow of a spanning-tree configuration in O(n).
+
+    A BFS from the first OS node gives parent pointers.  In reverse BFS
+    order every MSR node v, with pivot d_v and right-hand side r_v, is
+    eliminated into its parent p over their cable admittance y:
+    ``d_p -= y^2 / d_v`` and ``r_p += y r_v / d_v``.  An OS parent is not
+    eliminated into; an OS node feeds ``y U`` into its MSR parent's
+    right-hand side.  One forward pass in BFS order then sets
+    ``U_v = (r_v + y U_p) / d_v``.  The pivot is kept as ``d_v = rest_v + y``,
+    so the parent's update ``y^2 / d_v - y = -y rest_v / d_v`` never cancels,
+    even across a near-zero impedance.
+
+    Pass ``admittances`` to reuse the per-network constants across calls.
+    Raises :class:`NotSpanningTreeError` unless ``cfg`` has |V| - 1 edges
+    connecting every node, and :class:`SingularSystemError` when a pivot is
+    at most ``PIVOT_LIMIT`` times the sum of admittance magnitudes in its row.
+    The residual is the largest nodal current balance.
+    """
+    adm = admittances or Admittances.of(network)
+    edges, loads, fixed = adm.edges, adm.loads, adm.fixed
+    unknown = cfg.edges - edges.keys()
+    if unknown:
+        raise ValueError(f"unknown edge ids {sorted(unknown)}")
+    size = len(fixed)
+    if len(cfg.edges) != size - 1:
+        raise NotSpanningTreeError("configuration is not a spanning tree")
+
+    adjacency: list[list[tuple[int, complex, float]]] = [[] for _ in range(size)]
+    for eid in sorted(cfg.edges):
+        n, m, y, y_abs = edges[eid]
+        adjacency[n].append((m, y, y_abs))
+        adjacency[m].append((n, y, y_abs))
+    # parent position and cable admittance of every node; the root is its own parent
+    up_of = [-1] * size
+    y_up = [0j] * size
+    y_up_abs = [0.0] * size
+    up_of[adm.root] = adm.root
+    order = [adm.root]
+    for here in order:
+        for there, y, y_abs in adjacency[here]:
+            if up_of[there] < 0:
+                up_of[there], y_up[there], y_up_abs[there] = here, y, y_abs
+                order.append(there)
+    if len(order) != size:
+        raise NotSpanningTreeError("configuration is not a spanning tree")
+
+    # after elimination U_v = offset[v] + gain[v] * U_parent
+    rest = list(loads)
+    offset = [0j] * size
+    gain = [0j] * size
+    row_scale = [abs(y) for y in loads]
+    for v in reversed(order):
+        up, y = up_of[v], y_up[v]
+        parent_free = fixed[up] is None
+        if fixed[v] is not None:
+            if parent_free:
+                rest[up] += y
+                offset[up] += y * fixed[v]
+                row_scale[up] += y_up_abs[v]
+            continue
+        d = rest[v] + y
+        if not abs(d) > PIVOT_LIMIT * (row_scale[v] + y_up_abs[v]):
+            raise SingularSystemError(
+                f"pivot {abs(d):.3e} at node {adm.node_ids[v]} is within "
+                f"{PIVOT_LIMIT:.0e} of its row scale"
+            )
+        gain[v] = t = y / d
+        offset[v] /= d
+        if parent_free:
+            rest[up] += rest[v] * t
+            offset[up] += y * offset[v]
+            row_scale[up] += y_up_abs[v]
+
+    u = list(fixed)
+    balance = [0j] * size
+    for v in order:
+        up = up_of[v]
+        if fixed[v] is None:
+            u[v] = offset[v] + gain[v] * u[up]
+            balance[v] += loads[v] * u[v]
+        current = y_up[v] * (u[v] - u[up])
+        balance[v] += current
+        balance[up] -= current
+    residual = max((abs(r) for r, f in zip(balance, fixed) if f is None), default=0.0)
+    return VoltageSolution(u=dict(zip(adm.node_ids, u)), residual=residual)
+
+
 def check_compliance(
     network: Network,
     cfg: Configuration,
@@ -186,10 +324,13 @@ def check_compliance(
 
 
 def evaluate_configuration(
-    network: Network, cfg: Configuration, tol: float = DEFAULT_TOLERANCE
+    network: Network,
+    cfg: Configuration,
+    tol: float = DEFAULT_TOLERANCE,
+    admittances: Admittances | None = None,
 ) -> ComplianceReport:
-    """Assemble, solve and check one configuration end to end."""
-    solution = solve_loadflow(assemble_system(network, cfg))
+    """Solve and check one configuration end to end."""
+    solution = solve_tree(network, cfg, admittances)
     return check_compliance(network, cfg, solution, tol)
 
 
@@ -219,19 +360,23 @@ class ComplianceOracle:
     """Load-flow check with call accounting.
 
     Counts one call per configuration evaluated; the count is the classical
-    query unit compared against the amplitude-amplification search.
+    query unit compared against the amplitude-amplification search.  A
+    configuration that is not a spanning tree, or whose system is singular,
+    is reported non-compliant; any other error (an unknown edge id, say)
+    propagates.
     """
 
     def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
         self.network = network
         self.tol = tol
         self.calls = 0
+        self.admittances = Admittances.of(network)
 
     def check(self, cfg: Configuration) -> ComplianceReport:
         self.calls += 1
         try:
-            return evaluate_configuration(self.network, cfg, self.tol)
-        except (ValueError, SingularSystemError):
+            return evaluate_configuration(self.network, cfg, self.tol, self.admittances)
+        except (NotSpanningTreeError, SingularSystemError):
             return ComplianceReport(
                 compliant=False,
                 voltage_violations=(),

@@ -11,6 +11,7 @@ Everything here is an immutable value; operations are pure functions.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -19,6 +20,7 @@ __all__ = [
     "NetworkError",
     "ParseError",
     "ValidationError",
+    "NotSpanningTreeError",
     "Node",
     "Edge",
     "Network",
@@ -48,6 +50,16 @@ class ValidationError(NetworkError):
     """Structurally valid file describing an inconsistent network."""
 
 
+class NotSpanningTreeError(ValueError):
+    """A configuration that a tree-only operation got is not a spanning tree."""
+
+
+def _require_finite(what: str, **values) -> None:
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValidationError(f"{what}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -58,6 +70,9 @@ class Node:
     u_max: float
 
     def __post_init__(self):
+        _require_finite(
+            f"node {self.id}", u_nom=self.u_nom, load=self.load, u_min=self.u_min, u_max=self.u_max
+        )
         if self.kind not in (OS, MSR):
             raise ValidationError(f"node {self.id}: kind must be OS or MSR, got {self.kind!r}")
         if not self.u_min > 0:
@@ -80,6 +95,7 @@ class Edge:
     initially_active: bool
 
     def __post_init__(self):
+        _require_finite(f"edge {self.id}", z=self.z, i_max=self.i_max)
         if self.n == self.m:
             raise ValidationError(f"edge {self.id}: endpoints must differ, got ({self.n}, {self.m})")
         if self.z == 0:
@@ -264,6 +280,12 @@ def _complex_field(raw, where: str) -> complex:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _bool_field(raw, where: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ParseError(f"{where}: active must be true or false, got {raw!r}")
+    return raw
+
+
 def _require(mapping: Mapping, key: str, where: str):
     if key not in mapping:
         raise ParseError(f"{where}: missing field {key!r}")
@@ -307,7 +329,7 @@ def parse_network(text: str) -> Network:
                     m=int(_require(raw, "m", where)),
                     z=_complex_field(_require(raw, "z", where), where),
                     i_max=float(_require(raw, "i_max", where)),
-                    initially_active=bool(_require(raw, "active", where)),
+                    initially_active=_bool_field(_require(raw, "active", where), where),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -368,7 +390,7 @@ def fundamental_cycles(network: Network, cfg: Configuration) -> dict[int, frozen
     closes exactly that cycle.
     """
     if not is_spanning_tree(network, cfg):
-        raise ValueError("configuration is not a spanning tree")
+        raise NotSpanningTreeError("configuration is not a spanning tree")
     adj = network.neighbors(cfg)
 
     # parent pointers from a BFS rooted at the smallest node id

@@ -66,6 +66,17 @@ class TestCheck:
         assert code == 1
         assert "k_max" in err
 
+    def test_nan_load_is_input_error(self, capsys, tmp_path):
+        doc = json.loads(Path(SEVENBUS).read_text())
+        doc["nodes"][0]["load"] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--network", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "load must be finite" in err
+
 
 class TestEnumerate:
     def test_fixture_k1(self, capsys):
@@ -112,6 +123,36 @@ class TestLoadflow:
         )
         assert code == 1
         assert "spanning tree" in err
+
+    def test_text_prints_voltages_and_currents(self, capsys):
+        code, out, _ = run(capsys, "loadflow", "--network", SEVENBUS)
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.startswith("node") for line in lines) == 7
+        assert sum(line.startswith("edge") for line in lines) == 6
+        assert lines[-1] == "compliant"
+
+    def test_singular_system_is_input_error(self, capsys, tmp_path):
+        # node 1 draws -1/z of its only cable: its balance row is zero
+        doc = {
+            "nodes": [
+                {"id": 0, "type": "OS", "u_nom": 10500.0, "load": [0, 0],
+                 "u_min": 10500.0, "u_max": 10500.0},
+                {"id": 1, "type": "MSR", "u_nom": 10500.0,
+                 "load": [-10500.0**2, -10500.0**2], "u_min": 9800.0, "u_max": 11000.0},
+                {"id": 2, "type": "MSR", "u_nom": 10500.0, "load": [1000.0, 0],
+                 "u_min": 9800.0, "u_max": 11000.0},
+            ],
+            "edges": [
+                {"id": 1, "n": 0, "m": 1, "z": [0.5, 0.5], "i_max": 999.0, "active": True},
+                {"id": 2, "n": 0, "m": 2, "z": [0.5, 0.5], "i_max": 999.0, "active": True},
+            ],
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "loadflow", "--network", str(path))
+        assert code == 1
+        assert err.startswith("error: pivot") and err.count("\n") == 1
 
 
 class TestQubo:

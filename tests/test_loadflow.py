@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsec.loadflow import (
+    Admittances,
     ComplianceOracle,
     SingularSystemError,
     LinearSystem,
@@ -11,10 +16,11 @@ from gridsec.loadflow import (
     evaluate_configuration,
     problem_edges,
     solve_loadflow,
+    solve_tree,
 )
-from gridsec.network import Configuration
+from gridsec.network import Configuration, Edge, Network, Node, NotSpanningTreeError
 
-from conftest import make_network, tree_config
+from conftest import make_network, spanning_trees, tree_config
 
 
 def independent_fixture_solve(network, cfg):
@@ -87,6 +93,8 @@ class TestAssembleSolve:
     def test_non_tree_rejected(self, sevenbus):
         with pytest.raises(ValueError, match="spanning tree"):
             assemble_system(sevenbus, Configuration(sevenbus.active_ids - {2}))
+        with pytest.raises(NotSpanningTreeError):
+            assemble_system(sevenbus, Configuration(sevenbus.active_ids - {1} | {4}))
 
     def test_singular_detection(self):
         system = LinearSystem(
@@ -117,8 +125,6 @@ class TestAssembleSolve:
         assert first.residual == second.residual
 
     def test_two_supply_points(self):
-        from gridsec.network import Edge, Network, Node
-
         nodes = [
             Node(0, "OS", 10500.0, 0j, 10500.0, 10500.0),
             Node(4, "OS", 10400.0, 0j, 10400.0, 10400.0),
@@ -141,6 +147,7 @@ class TestAssembleSolve:
         assert all(10400.0 < m < 10500.0 for m in magnitudes)
         assert magnitudes == sorted(magnitudes, reverse=True)
         assert evaluate_configuration(net, net.initial_configuration()).compliant
+        assert_same_voltages(solve_tree(net, net.initial_configuration()), solution, 1e-12)
 
     def test_zero_loads_pin_os_voltage(self):
         drained = make_network(
@@ -152,6 +159,198 @@ class TestAssembleSolve:
         solution = solve_loadflow(assemble_system(drained, drained.initial_configuration()))
         for u in solution.u.values():
             assert u == pytest.approx(10500.0 + 0j, abs=1e-9)
+
+
+def exact_solve(network, cfg):
+    """Balance equations solved by Gauss-Jordan in exact rational arithmetic.
+
+    Complex numbers are (re, im) pairs of Fractions.  Every float input
+    converts exactly, so the only rounding is the final conversion back.
+    """
+
+    def add(a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        norm = b[0] * b[0] + b[1] * b[1]
+        return mul(a, (b[0] / norm, -b[1] / norm))
+
+    def exact(c):
+        return (Fraction(c.real), Fraction(c.imag))
+
+    zero = (Fraction(0), Fraction(0))
+    msr = list(network.msr_ids)
+    index = {nid: k for k, nid in enumerate(msr)}
+    rows = [[zero] * (len(msr) + 1) for _ in msr]
+    for nid in msr:
+        node = network.node_by_id[nid]
+        load = exact(node.load.conjugate())
+        rows[index[nid]][index[nid]] = div(load, (Fraction(node.u_nom) ** 2, Fraction(0)))
+    for eid in cfg.edges:
+        edge = network.edge_by_id[eid]
+        y = div((Fraction(1), Fraction(0)), exact(edge.z))
+        for here, there in ((edge.n, edge.m), (edge.m, edge.n)):
+            if here not in index:
+                continue
+            row = rows[index[here]]
+            row[index[here]] = add(row[index[here]], y)
+            if there in index:
+                row[index[there]] = sub(row[index[there]], y)
+            else:
+                row[-1] = add(row[-1], mul(y, exact(complex(network.node_by_id[there].u_nom))))
+    for col in range(len(msr)):
+        pivot_row = next(r for r in range(col, len(msr)) if rows[r][col] != zero)
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        rows[col] = [div(x, rows[col][col]) for x in rows[col]]
+        for r in range(len(msr)):
+            if r != col and rows[r][col] != zero:
+                factor = rows[r][col]
+                rows[r] = [sub(x, mul(factor, p)) for x, p in zip(rows[r], rows[col])]
+    return {nid: complex(float(rows[k][-1][0]), float(rows[k][-1][1])) for nid, k in index.items()}
+
+
+def dense_solve(network, cfg):
+    return solve_loadflow(assemble_system(network, cfg))
+
+
+def assert_same_voltages(tree, dense, rel):
+    assert tree.u.keys() == dense.u.keys()
+    for nid, u in dense.u.items():
+        assert abs(tree.u[nid] - u) <= rel * abs(u), nid
+
+
+def singular_leaf_network(detune: float = 0.0) -> Network:
+    """Node 1 hangs off the OS node alone and its load admittance is
+    -(1 - detune)/z of its cable, so its balance row (Y + 1/z) U_1 = U_0 / z
+    has the pivot detune/z: zero, or as small as the caller asks."""
+    z = 0.01 + 0.02j
+    cancelling = (-(1.0 - detune) / z).conjugate() * 10500.0**2
+    return make_network(4, [(0, 1), (0, 2), (2, 3)], {1, 2, 3}, loads={1: cancelling})
+
+
+@st.composite
+def random_grids(draw):
+    """A random 4-12-node grid, one or two OS nodes, and a random spanning tree.
+
+    The active tree is a random parent per node; a few spare cables close
+    loops; the configuration is a random-order Kruskal tree of all cables.
+    Cables have a positive resistance and loads a non-negative real part,
+    so every system stays regular.
+    """
+    n = draw(st.integers(4, 12), label="nodes")
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 4), label="spares")):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
+        pairs.append((a, b))
+    second_os = draw(st.one_of(st.none(), st.integers(1, n - 1)), label="second OS")
+    nodes = []
+    for nid in range(n):
+        if nid == 0 or nid == second_os:
+            u = 10500.0 if nid == 0 else draw(st.floats(10300.0, 10700.0))
+            nodes.append(Node(nid, "OS", u, 0j, u, u))
+            continue
+        load = draw(st.one_of(
+            st.just(0j),
+            st.builds(complex, st.floats(0.0, 2e6), st.floats(-5e5, 5e5)),
+        ))
+        nodes.append(Node(nid, "MSR", 10500.0, load, 9800.0, 11000.0))
+    edges = [
+        Edge(
+            eid,
+            a,
+            b,
+            complex(draw(st.floats(0.01, 0.5)), draw(st.floats(0.0, 0.5))),
+            draw(st.one_of(st.just(0.0), st.floats(1.0, 500.0))),
+            eid <= n - 1,
+        )
+        for eid, (a, b) in enumerate(pairs, start=1)
+    ]
+    network = Network(nodes, edges)
+
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    tree = set()
+    for eid in draw(st.permutations([e.id for e in edges]), label="cable order"):
+        edge = network.edge_by_id[eid]
+        ra, rb = find(edge.n), find(edge.m)
+        if ra != rb:
+            parent[ra] = rb
+            tree.add(eid)
+    return network, Configuration.of(tree)
+
+
+class TestTreeSolve:
+    def test_every_fixture_tree_is_exact(self, sevenbus):
+        # trees through the 1e-6 ohm spare (edge 4) are stiff: the dense LU is
+        # off by up to 1.2e-10 there, the tree elimination only by rounding
+        for tree in spanning_trees(sevenbus):
+            cfg = Configuration(tree)
+            solution = solve_tree(sevenbus, cfg)
+            for nid, u in exact_solve(sevenbus, cfg).items():
+                assert abs(solution.u[nid] - u) <= 1e-14 * abs(u), (sorted(tree), nid)
+            assert_same_voltages(solution, dense_solve(sevenbus, cfg), 1e-9)
+
+    def test_residual_is_float_noise_of_the_balance(self, sevenbus):
+        cfg = sevenbus.initial_configuration()
+        solution = solve_tree(sevenbus, cfg)
+        max_branch = max(abs(i) for i in check_compliance(sevenbus, cfg, solution).currents.values())
+        assert 0.0 < solution.residual < 1e-9 * max_branch
+
+    def test_shared_admittances_give_identical_results(self, sevenbus):
+        cfg = tree_config({1, 2, 3, 5, 7, 8})
+        shared = Admittances.of(sevenbus)
+        assert solve_tree(sevenbus, cfg, shared) == solve_tree(sevenbus, cfg)
+
+    def test_non_tree_rejected(self, sevenbus):
+        with pytest.raises(NotSpanningTreeError, match="spanning tree"):
+            solve_tree(sevenbus, Configuration(sevenbus.active_ids - {2}))
+        with pytest.raises(NotSpanningTreeError, match="spanning tree"):
+            solve_tree(sevenbus, Configuration(sevenbus.active_ids - {1} | {4}))
+
+    def test_unknown_edge_rejected(self, sevenbus):
+        with pytest.raises(ValueError, match=r"unknown edge ids \[99\]") as caught:
+            solve_tree(sevenbus, Configuration.of([99, 1, 2, 3, 4, 6]))
+        assert not isinstance(caught.value, NotSpanningTreeError)
+
+    @pytest.mark.parametrize("detune", [0.0, 1e-14])
+    def test_singular_leaf_on_both_paths(self, detune):
+        net = singular_leaf_network(detune)
+        cfg = net.initial_configuration()
+        with pytest.raises(SingularSystemError, match="node 1"):
+            solve_tree(net, cfg)
+        with pytest.raises(SingularSystemError):
+            dense_solve(net, cfg)
+
+    def test_small_regular_pivot_solves(self):
+        # pivot 1e-9 of the row scale: above the guard, and exact on the tree
+        net = singular_leaf_network(1e-9)
+        cfg = net.initial_configuration()
+        assert_same_voltages(solve_tree(net, cfg), dense_solve(net, cfg), 1e-5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_grids())
+    def test_matches_dense_reference(self, grid):
+        network, cfg = grid
+        tree = solve_tree(network, cfg)
+        dense = dense_solve(network, cfg)
+        assert_same_voltages(tree, dense, 1e-10)
+        ours = check_compliance(network, cfg, tree)
+        theirs = check_compliance(network, cfg, dense)
+        assert ours.compliant == theirs.compliant
+        assert [v[0] for v in ours.voltage_violations] == [v[0] for v in theirs.voltage_violations]
+        assert [v[0] for v in ours.current_violations] == [v[0] for v in theirs.current_violations]
 
 
 class TestCompliance:
@@ -248,3 +447,14 @@ class TestOracleAccounting:
         report = oracle.check(broken)
         assert not report.compliant
         assert oracle.calls == 1
+
+    def test_singular_system_reports_noncompliant(self):
+        net = singular_leaf_network()
+        oracle = ComplianceOracle(net)
+        assert not oracle.check(net.initial_configuration()).compliant
+        assert oracle.calls == 1
+
+    def test_unknown_edge_id_raises(self, sevenbus):
+        oracle = ComplianceOracle(sevenbus)
+        with pytest.raises(ValueError, match=r"unknown edge ids \[99\]"):
+            oracle.check(Configuration.of([99, 1, 2, 3, 4, 6]))

@@ -88,6 +88,36 @@ class TestParsing:
         with pytest.raises(ValidationError):
             Edge(1, 1, 2, 1j, -1.0, True)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_numbers_rejected(self, bad):
+        from gridsec.network import Edge, Node
+
+        for field in ("u_nom", "u_min", "u_max"):
+            values = {"u_nom": 100.0, "u_min": 90.0, "u_max": 110.0, field: bad}
+            with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                Node(1, "MSR", values["u_nom"], 0j, values["u_min"], values["u_max"])
+        for load in (complex(bad, 0.0), complex(0.0, bad)):
+            with pytest.raises(ValidationError, match="load must be finite"):
+                Node(1, "MSR", 100.0, load, 90.0, 110.0)
+        for z in (complex(bad, 1.0), complex(1.0, bad)):
+            with pytest.raises(ValidationError, match="z must be finite"):
+                Edge(1, 1, 2, z, 10.0, True)
+        with pytest.raises(ValidationError, match="i_max must be finite"):
+            Edge(1, 1, 2, 1j, bad, True)
+
+    def test_nan_load_in_file_rejected(self, sevenbus):
+        doc = sevenbus.as_dict()
+        doc["nodes"][0]["load"] = [float("nan"), 0.0]
+        with pytest.raises(ValidationError, match="node 1: load must be finite"):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_non_boolean_active_rejected(self, sevenbus, flag):
+        doc = sevenbus.as_dict()
+        doc["edges"][3]["active"] = flag
+        with pytest.raises(ParseError, match="active must be true or false"):
+            parse_network(json.dumps(doc))
+
     def test_endpoint_order_normalized(self):
         from gridsec.network import Edge
 
