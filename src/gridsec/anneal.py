@@ -1,13 +1,29 @@
 """Simulated annealing for QUBOs, steepest-descent post-processing, and
 feasibility-tagged energy histograms.
 
-The sampler runs independent reads in parallel as rows of a bit matrix:
-one sweep proposes a single-bit Metropolis flip for every variable in
-index order, with the inverse temperature climbing a geometric ladder
-(``sweeps_per_beta`` sweeps per rung).  All randomness flows from one
-Philox counter-based generator (numpy implementation), so a fixed seed
-reproduces the sample set bit for bit; cross-language ports can match
-streams against Philox4x64-10.
+The sampler runs independent reads in parallel: one sweep proposes a
+single-bit Metropolis flip for every variable in index order, with the
+inverse temperature climbing a geometric ladder (``sweeps_per_beta``
+sweeps per rung).  All randomness flows from one Philox counter-based
+generator (numpy implementation), so a fixed seed reproduces the sample
+set bit for bit; cross-language ports can match streams against
+Philox4x64-10.
+
+The index-order sweep runs as a wavefront schedule.  A variable's front is
+one more than the highest front of any coupled variable with a lower
+index, so no two variables of a front are coupled and every coupled pair
+keeps its order.  A whole front is proposed and applied at once, and its
+flips reach the local fields of its neighbours in one matrix product
+(kept-up-to-date fields as in Isakov et al., arXiv:1401.1084); the
+zero-temperature final pass reuses the fronts.  Variable ``i`` still
+compares against row ``i`` of the sweep's ``(n, reads)`` block of
+uniforms, so the Philox consumption order is unchanged: one ``(reads, n)``
+integer block for the initial states, then one ``(n, reads)`` block of
+doubles per sweep.  A front therefore makes the sequential sweep's accept
+decisions.  Only the order in which a field's increments are summed
+differs: with coefficients whose partial sums are exact (small integers)
+the chain is identical, and with general floats a decision can differ only
+where it lies within rounding of its threshold.
 """
 
 from __future__ import annotations
@@ -120,19 +136,53 @@ def auto_beta_range(qubo: Qubo) -> tuple[float, float]:
     return (math.log(2.0) / d_max, math.log(100.0) / d_min)
 
 
+def _couplings(qubo: Qubo) -> tuple[np.ndarray, np.ndarray]:
+    """Linear coefficients and the symmetric, zero-diagonal coupling matrix."""
+    upper = qubo.to_dense()
+    diag = np.diag(upper).copy()
+    sym = upper + upper.T
+    np.fill_diagonal(sym, 0.0)
+    return diag, sym
+
+
+def _wavefronts(sym: np.ndarray) -> np.ndarray:
+    """Front of every variable: one more than the highest front of any
+    coupled variable with a lower index (0 when there is none).
+
+    No two variables of a front are coupled, and every coupled pair
+    i < j has front(i) < front(j).
+    """
+    coupled = sym != 0.0
+    fronts = np.zeros(len(sym), dtype=np.int64)
+    for j in range(1, len(sym)):
+        lower = fronts[:j][coupled[:j, j]]
+        if lower.size:
+            fronts[j] = lower.max() + 1
+    return fronts
+
+
+def _flip(spins, field_, block: slice, neighbours, couplings, accept) -> bool:
+    """Apply the accepted flips of one front and add them to the local
+    fields of its neighbours.  Returns whether anything flipped."""
+    if not np.count_nonzero(accept):
+        return False
+    spin = spins[block]
+    flips = np.where(accept, spin, 0.0)
+    np.negative(spin, out=spin, where=accept)
+    field_[neighbours] += couplings @ flips
+    return True
+
+
 def simulated_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
-    """Single-bit-flip Metropolis annealing, reads vectorized as rows."""
+    """Single-bit-flip Metropolis annealing, reads vectorized as columns and
+    variables swept front by front (see the module docstring)."""
     if qubo.n < 1:
         raise ValueError("QUBO needs at least one variable")
     n = qubo.n
     reads = schedule.reads
     rng = np.random.Generator(np.random.Philox(key=schedule.seed))
 
-    upper = qubo.to_dense()
-    diag = np.diag(upper).copy()
-    sym = upper + upper.T
-    np.fill_diagonal(sym, 0.0)
-
+    diag, sym = _couplings(qubo)
     beta_lo, beta_hi = schedule.beta_range or auto_beta_range(qubo)
     num_betas = max(1, schedule.sweeps // schedule.sweeps_per_beta)
     betas = np.geomspace(beta_lo, beta_hi, num_betas)
@@ -140,40 +190,59 @@ def simulated_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
     states = rng.integers(0, 2, size=(reads, n)).astype(np.float64)
     field_ = states @ sym
 
-    for beta in betas:
-        for _ in range(schedule.sweeps_per_beta):
-            uniforms = rng.random((n, reads))
-            for i in range(n):
-                column = states[:, i]
-                delta_e = (1.0 - 2.0 * column) * (diag[i] + field_[:, i])
-                accept = uniforms[i] < np.exp(np.minimum(0.0, -beta * delta_e))
-                accepted = int(accept.sum())
-                if accepted:
-                    flips = np.where(accept, 1.0 - 2.0 * column, 0.0)
-                    states[:, i] = column + flips
-                    if 2 * accepted > reads:
-                        field_ += np.outer(flips, sym[i])
-                    else:
-                        rows = np.nonzero(accept)[0]
-                        field_[rows] += np.outer(flips[rows], sym[i])
+    # Permute once so every front is a contiguous block of rows of the
+    # (variable, read) arrays.  A spin 1 - 2x is both the sign of a flip's
+    # energy change and the flip's step.
+    fronts = _wavefronts(sym)
+    order = np.argsort(fronts, kind="stable")
+    cuts = np.searchsorted(fronts[order], np.arange(fronts.max() + 2))
+    spins = np.ascontiguousarray(1.0 - 2.0 * states[:, order].T)
+    field_ = np.ascontiguousarray(field_[:, order].T)
+    diag = diag[order][:, None]
+    sym = sym[np.ix_(order, order)]
+    plan = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        neighbours = np.flatnonzero((sym[lo:hi] != 0.0).any(axis=0))
+        plan.append((slice(lo, hi), neighbours, sym[neighbours, lo:hi]))
+
+    # exp(-beta dE) >= 1 > u wherever exp(min(0, -beta dE)) = 1 > u, so the
+    # clamp is left out and its overflow to inf silenced: same decisions
+    with np.errstate(over="ignore"):
+        for beta in betas:
+            for _ in range(schedule.sweeps_per_beta):
+                uniforms = rng.random((n, reads))[order]
+                for block, neighbours, couplings in plan:
+                    delta_e = spins[block] * (diag[block] + field_[block])
+                    accept = uniforms[block] < np.exp(-beta * delta_e)
+                    _flip(spins, field_, block, neighbours, couplings, accept)
 
     # final descent pass: zero-temperature sweeps until every read is
     # single-flip stable, so no returned sample sits above its own local floor
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            column = states[:, i]
-            delta_e = (1.0 - 2.0 * column) * (diag[i] + field_[:, i])
-            accept = delta_e < 0.0
-            accepted = int(accept.sum())
-            if accepted:
-                changed = True
-                flips = np.where(accept, 1.0 - 2.0 * column, 0.0)
-                states[:, i] = column + flips
-                rows = np.nonzero(accept)[0]
-                field_[rows] += np.outer(flips[rows], sym[i])
-    return SampleSet.from_states(qubo, states)
+        for block, neighbours, couplings in plan:
+            delta_e = spins[block] * (diag[block] + field_[block])
+            changed |= _flip(spins, field_, block, neighbours, couplings, delta_e < 0.0)
+    return SampleSet.from_states(qubo, spins[np.argsort(order)].T < 0.0)
+
+
+def _descend(qubo: Qubo, states: np.ndarray) -> np.ndarray:
+    """Steepest descent of every row at once; rows stop independently."""
+    diag, sym = _couplings(qubo)
+    states = np.array(states, dtype=np.float64)
+    # one matrix-vector product per row, as a lone row's descent computes it
+    field_ = np.array([sym @ row for row in states])
+    active = np.arange(len(states))
+    while active.size:
+        delta_e = (1.0 - 2.0 * states[active]) * (diag + field_[active])
+        best = np.argmin(delta_e, axis=1)
+        improving = delta_e[np.arange(active.size), best] < 0.0
+        active, best = active[improving], best[improving]
+        flip = 1.0 - 2.0 * states[active, best]
+        states[active, best] += flip
+        field_[active] += flip[:, None] * sym[best]
+    return states.astype(np.uint8)
 
 
 def steepest_descent(qubo: Qubo, bits) -> np.ndarray:
@@ -182,32 +251,19 @@ def steepest_descent(qubo: Qubo, bits) -> np.ndarray:
     Ties break on the lowest index; stops at the first local minimum, so
     applying it twice changes nothing.
     """
-    state = np.asarray(bits, dtype=np.float64).copy()
+    state = np.asarray(bits, dtype=np.float64)
     if state.shape != (qubo.n,):
         raise ValueError(f"expected {qubo.n} bits, got shape {state.shape}")
-    upper = qubo.to_dense()
-    diag = np.diag(upper).copy()
-    sym = upper + upper.T
-    np.fill_diagonal(sym, 0.0)
-    field_ = sym @ state
-    while True:
-        delta_e = (1.0 - 2.0 * state) * (diag + field_)
-        best = int(np.argmin(delta_e))
-        if delta_e[best] >= 0.0:
-            break
-        flip = 1.0 - 2.0 * state[best]
-        state[best] += flip
-        field_ += flip * sym[best]
-    return state.astype(np.uint8)
+    return _descend(qubo, state[None, :])[0]
 
 
 def post_process(qubo: Qubo, samples: SampleSet) -> SampleSet:
-    """Steepest descent applied to every read of a sample set."""
-    rows = samples.expand()
-    if not len(rows):
+    """Steepest descent applied to every read of a sample set, batched
+    over the distinct samples (descent is deterministic)."""
+    if not len(samples):
         return samples
-    descended = np.stack([steepest_descent(qubo, row) for row in rows])
-    return SampleSet.from_states(qubo, descended)
+    descended = _descend(qubo, samples.samples)
+    return SampleSet.from_states(qubo, np.repeat(descended, samples.multiplicities, axis=0))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ Subcommands map onto the library: ``check`` (full N-1 verdict),
 check), ``qubo`` (export the combined formulation), ``anneal`` (sample it)
 and ``grover`` (amplified search for one failing edge).
 
-Exit codes: 0 success / secure, 2 insecure network (``check`` only),
-1 bad input or usage.  Stochastic commands require a seed, either via
-``--seed`` or the ``GRIDSEC_SEED`` environment variable, and echo it in
-the output so every run can be reproduced.
+Exit codes: 0 success / secure, 2 insecure network (``check``) or no
+compliant switchover for the failing edge (``grover``), 1 bad input or
+usage.  Stochastic commands require a seed, either via ``--seed`` or the
+``GRIDSEC_SEED`` environment variable, and echo it in the output so every
+run can be reproduced.
 """
 
 from __future__ import annotations
@@ -246,7 +247,15 @@ def cmd_grover(args) -> int:
     seed = _seed_from(args)
     space = grover.index_reconfigurations(grid, args.failing_edge, args.k)
     oracle = grover.make_oracle(grid, space)
-    result = grover.grover_search(space, oracle, iterations=args.iterations, seed=seed)
+    print(f"seed: {seed}")
+    try:
+        result = grover.grover_search(space, oracle, iterations=args.iterations, seed=seed)
+    except grover.SearchFailure:
+        print(
+            f"no compliant switchover within k={args.k} for failing edge {args.failing_edge}"
+            f" (candidates: {space.size}, oracle queries: {oracle.queries})"
+        )
+        return EXIT_INSECURE
     if args.distribution_out:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -256,7 +265,6 @@ def cmd_grover(args) -> int:
             writer.writerow([candidate_id, repr(float(probability)), payload])
         _write(args.distribution_out, buffer.getvalue(), "distribution")
     marked = oracle.marked_ids()
-    print(f"seed: {seed}")
     print(f"candidates: {space.size}, marked: {len(marked)}")
     print(f"iterations: {result.iterations}, oracle queries: {result.queries}")
     switch = result.switchover

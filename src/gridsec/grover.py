@@ -21,7 +21,7 @@ import numpy as np
 
 from .classical import enumerate_reconfigurations
 from .loadflow import ComplianceOracle
-from .network import Configuration, Network, Switchover, is_spanning_tree
+from .network import Configuration, Network, Switchover
 
 __all__ = [
     "SearchSpaceError",
@@ -129,14 +129,15 @@ class Oracle:
 
 
 def make_oracle(network: Network, space: SearchSpace, tol: float = 1e-9) -> Oracle:
-    """Oracle backed by the classical load-flow checker."""
+    """Oracle backed by the classical load-flow checker, which reports a
+    candidate that is not a spanning tree as non-compliant."""
     if space.size < 1:
         raise SearchSpaceError("cannot build an oracle over an empty space")
     checker = ComplianceOracle(network, tol)
 
     def predicate(candidate_id: int) -> bool:
         cfg = space.configuration(candidate_id)
-        return is_spanning_tree(network, cfg) and checker.check(cfg).compliant
+        return checker.check(cfg).compliant
 
     return Oracle(predicate, space.size)
 

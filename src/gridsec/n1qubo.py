@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loadflow import admittance, assemble_system, problem_edges, solve_loadflow
+from .loadflow import admittance, problem_edges, solve_tree
 from .network import Configuration, Network
 from .qubo import (
     Qubo,
@@ -915,12 +915,12 @@ def rounded_reference_bits(layout: LoadflowVarLayout, network: Network) -> np.nd
     """Nearest-grid encoding of the continuous load-flow solution.
 
     Only defined for fixed-configuration layouts; voltages come from the
-    exact complex solve and currents from the solved branch flows, each
+    exact tree solve and currents from the solved branch flows, each
     rounded independently onto its grid (currents clipped into their range).
     """
     if layout.cfg is None:
         raise ValueError("reference rounding needs a fixed-configuration layout")
-    solution = solve_loadflow(assemble_system(network, layout.cfg))
+    solution = solve_tree(network, layout.cfg)
     bits = np.zeros(layout.num_vars, dtype=np.uint8)
     for nid, var_bits in layout.bits_real.items():
         const, coefs = layout.enc_real[nid]

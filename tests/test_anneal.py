@@ -1,17 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsec.anneal import (
     AnnealSchedule,
     EnergyHistogram,
     SampleSet,
+    _couplings,
+    _wavefronts,
     auto_beta_range,
     energy_histogram,
     post_process,
     simulated_annealing,
     steepest_descent,
 )
-from gridsec.n1qubo import build_tree_qubo, decode_solution
+from gridsec.n1qubo import build_n1_qubo, build_tree_qubo, decode_solution
 from gridsec.qubo import Qubo, brute_force_minimize, one_hot
 
 from conftest import make_network
@@ -20,6 +26,155 @@ from conftest import make_network
 def triangle_tree_qubo():
     net = make_network(3, [(0, 1), (1, 2), (0, 2)], {1, 2})
     return build_tree_qubo(net, levels=3)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the plain sequential sweep and the one-row descent that
+# the wavefront sampler and the batched descent must reproduce exactly
+# ---------------------------------------------------------------------------
+
+def reference_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
+    """Index-order Metropolis sweep, one variable at a time."""
+    n, reads = qubo.n, schedule.reads
+    rng = np.random.Generator(np.random.Philox(key=schedule.seed))
+    diag, sym = _couplings(qubo)
+    beta_lo, beta_hi = schedule.beta_range or auto_beta_range(qubo)
+    num_betas = max(1, schedule.sweeps // schedule.sweeps_per_beta)
+    states = rng.integers(0, 2, size=(reads, n)).astype(np.float64)
+    field_ = states @ sym
+
+    def flip(i, accept):
+        column = states[:, i]
+        flips = np.where(accept, 1.0 - 2.0 * column, 0.0)
+        states[:, i] = column + flips
+        field_[:] += np.outer(flips, sym[i])
+
+    for beta in np.geomspace(beta_lo, beta_hi, num_betas):
+        for _ in range(schedule.sweeps_per_beta):
+            uniforms = rng.random((n, reads))
+            for i in range(n):
+                delta_e = (1.0 - 2.0 * states[:, i]) * (diag[i] + field_[:, i])
+                flip(i, uniforms[i] < np.exp(np.minimum(0.0, -beta * delta_e)))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            delta_e = (1.0 - 2.0 * states[:, i]) * (diag[i] + field_[:, i])
+            if np.any(delta_e < 0.0):
+                changed = True
+                flip(i, delta_e < 0.0)
+    return SampleSet.from_states(qubo, states)
+
+
+def reference_descent(qubo: Qubo, bits) -> np.ndarray:
+    """Steepest descent of one bitstring, lowest index on ties."""
+    diag, sym = _couplings(qubo)
+    state = np.asarray(bits, dtype=np.float64).copy()
+    field_ = sym @ state
+    while True:
+        delta_e = (1.0 - 2.0 * state) * (diag + field_)
+        best = int(np.argmin(delta_e))
+        if delta_e[best] >= 0.0:
+            return state.astype(np.uint8)
+        flip = 1.0 - 2.0 * state[best]
+        state[best] += flip
+        field_ += flip * sym[best]
+
+
+def reference_post_process(qubo: Qubo, samples: SampleSet) -> SampleSet:
+    rows = samples.expand()
+    return SampleSet.from_states(qubo, np.stack([reference_descent(qubo, row) for row in rows]))
+
+
+def assert_same_samples(a: SampleSet, b: SampleSet) -> None:
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.energies.tobytes() == b.energies.tobytes()
+    assert a.multiplicities.tobytes() == b.multiplicities.tobytes()
+
+
+@st.composite
+def integer_qubos(draw):
+    """QUBOs with small-integer coefficients: every field sum is exact in any
+    order, so the wavefront schedule must match the sequential sweep bit for bit."""
+    n = draw(st.integers(1, 16))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = {(i, i): float(rng.integers(-4, 5)) for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                coeffs[(i, j)] = float(rng.integers(-4, 5))
+    return Qubo(n, coeffs)
+
+
+class TestWavefronts:
+    @staticmethod
+    def assert_fronts_valid(sym: np.ndarray) -> None:
+        fronts = _wavefronts(sym)
+        for i, j in zip(*np.nonzero(np.triu(sym != 0.0, k=1))):
+            assert fronts[i] < fronts[j]
+        for front in range(fronts.max() + 1):
+            members = np.flatnonzero(fronts == front)
+            assert not np.any(sym[np.ix_(members, members)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_qubos())
+    def test_random_fronts_independent_and_ordered(self, qubo):
+        self.assert_fronts_valid(_couplings(qubo)[1])
+
+    def test_n1_qubo_fronts(self, sevenbus):
+        qubo, _ = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
+        self.assert_fronts_valid(_couplings(qubo)[1])
+
+    def test_chain_and_empty(self):
+        chain = Qubo(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0})
+        assert list(_wavefronts(_couplings(chain)[1])) == [0, 1, 2, 3]
+        assert list(_wavefronts(_couplings(Qubo(3, {}))[1])) == [0, 0, 0]
+
+
+class TestMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        integer_qubos(),
+        st.integers(0, 2**63 - 1),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.sampled_from([None, (0.05, 3.0), (0.5, 0.5)]),
+    )
+    def test_integer_qubos_byte_identical(self, qubo, seed, reads, rungs, per_rung, betas):
+        schedule = AnnealSchedule(
+            seed=seed, reads=reads, sweeps=rungs * per_rung,
+            sweeps_per_beta=per_rung, beta_range=betas,
+        )
+        samples = simulated_annealing(qubo, schedule)
+        assert_same_samples(samples, reference_annealing(qubo, schedule))
+        start = SampleSet.from_states(
+            qubo, np.random.default_rng(seed).integers(0, 2, size=(reads, qubo.n))
+        )
+        assert_same_samples(post_process(qubo, start), reference_post_process(qubo, start))
+
+    def test_descent_matches_on_float_qubo(self):
+        """Batched descent keeps the one-row float ops, so it matches the
+        reference bit for bit on any coefficients."""
+        qubo, _ = triangle_tree_qubo()
+        rng = np.random.default_rng(17)
+        start = SampleSet.from_states(qubo, rng.integers(0, 2, size=(40, qubo.n)))
+        assert_same_samples(post_process(qubo, start), reference_post_process(qubo, start))
+
+    def test_anneal_n1_default_seed_pinned(self, sevenbus):
+        """The benchmark's anneal-n1 job at seed 1, as the sequential sweep gave it."""
+        qubo, _ = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
+        schedule = AnnealSchedule(
+            seed=1, reads=50, sweeps=100, sweeps_per_beta=20, beta_range=(0.02, 5.0)
+        )
+        samples = post_process(qubo, simulated_annealing(qubo, schedule))
+        digest = hashlib.sha256(samples.samples.tobytes() + samples.multiplicities.tobytes())
+        assert digest.hexdigest() == (
+            "2d82d60144ec6be90f638cbf1ec838dc89dcc1dd169bc510235c31309e49c112"
+        )
+        assert len(samples) == 50
+        assert samples.first[1] == 19.055731935331835
 
 
 class TestSchedule:

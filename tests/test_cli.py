@@ -280,3 +280,13 @@ class TestGrover:
         )
         assert code == 1
         assert "no 1-switchover" in err
+
+    def test_unfixable_edge_answers_cleanly(self, capsys):
+        code, out, err = run(
+            capsys, "grover", "--network", SEVENBUS, "--failing-edge", "6", "--seed", "1",
+        )
+        assert code == 2
+        assert err == ""
+        assert out.splitlines()[0] == "seed: 1"
+        assert out.splitlines()[1].startswith("no compliant switchover within k=1 for failing edge 6")
+        assert len(out.splitlines()) == 2

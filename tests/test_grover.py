@@ -17,7 +17,7 @@ from gridsec.grover import (
     success_probability,
     uniform_state,
 )
-from gridsec.loadflow import evaluate_configuration
+from gridsec.loadflow import ComplianceOracle, evaluate_configuration
 from gridsec.network import is_spanning_tree
 
 
@@ -65,6 +65,27 @@ class TestOracle:
         for i in range(space.size):
             compliant = evaluate_configuration(demo_k1, space.configuration(i)).compliant
             assert compliant == (i == 0)
+
+    def test_sevenbus_marks_match_tree_checked_predicate(self, sevenbus):
+        """Marked sets at k=1 equal those of a predicate that checks the tree
+        before the load flow, for every failing edge with candidates."""
+        checker = ComplianceOracle(sevenbus)
+        searched = {}
+        for edge in sorted(sevenbus.active_ids):
+            try:
+                space = index_reconfigurations(sevenbus, failing_edge=edge, k=1)
+            except SearchSpaceError:
+                continue
+            expected = [
+                i
+                for i in range(space.size)
+                if is_spanning_tree(sevenbus, space.configuration(i))
+                and checker.check(space.configuration(i)).compliant
+            ]
+            searched[edge] = list(make_oracle(sevenbus, space).marked_ids())
+            assert searched[edge] == expected
+        assert len(searched) >= 4
+        assert searched[6] == []
 
     def test_double_switch_demo_marks_three(self, demo_k2):
         space = index_reconfigurations(demo_k2, failing_edge=4, k=2)

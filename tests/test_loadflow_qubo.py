@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gridsec import n1qubo
 from gridsec.loadflow import assemble_system, problem_edges, solve_loadflow
 from gridsec.network import Configuration
 from gridsec.n1qubo import (
@@ -13,7 +14,7 @@ from gridsec.n1qubo import (
     rounded_reference_bits,
 )
 
-from conftest import make_network
+from conftest import make_network, spanning_trees
 
 CFG_GOOD = frozenset({1, 3, 4, 6, 7, 8})   # spare {3,6} in, {2,3} out
 CFG_BAD = frozenset({1, 2, 3, 5, 6, 8})    # zero-rated {4,6} carries the big load
@@ -119,6 +120,24 @@ class TestFixedConfiguration:
         eps = quantization_epsilon(qubo, layout, sevenbus)
         assert eps > 0.0
         assert eps == pytest.approx(qubo.evaluate(rounded_reference_bits(layout, sevenbus)))
+
+    def test_reference_bits_match_dense_solve(self, sevenbus, monkeypatch):
+        """Rounding the tree solve gives the dense LU's bits and epsilon on
+        every sevenbus spanning tree at widths 1-12."""
+        layouts = [
+            build_loadflow_qubo(sevenbus, Configuration(tree), width, width, width)
+            for tree in spanning_trees(sevenbus)
+            for width in range(1, 13)
+        ]
+        assert len(layouts) == 192
+        tree_bits = [rounded_reference_bits(layout, sevenbus) for _, layout in layouts]
+        tree_eps = [quantization_epsilon(q, layout, sevenbus) for q, layout in layouts]
+        monkeypatch.setattr(
+            n1qubo, "solve_tree", lambda net, cfg: solve_loadflow(assemble_system(net, cfg))
+        )
+        for (qubo, layout), bits, eps in zip(layouts, tree_bits, tree_eps):
+            assert np.array_equal(bits, rounded_reference_bits(layout, sevenbus))
+            assert eps == quantization_epsilon(qubo, layout, sevenbus)
 
     def test_bit_width_guard(self, sevenbus):
         with pytest.raises(ValueError):
