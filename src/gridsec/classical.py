@@ -5,6 +5,17 @@ assemble a per-edge security verdict.
 Step 1 covers every active edge that a single switchover can fix.  Step 2
 sweeps the leftovers with growing k; a passing multi-switch tree witnesses
 every edge it deactivates, so one load-flow call can clear several edges.
+
+The enumeration never runs a connectivity check.  For a tree T, inactive
+edges A = (a_1..a_k) and tree edges D = (d_1..d_k) with d_j in C(a_j), the
+fundamental cycle of a_j, T - D + A is a spanning tree iff the k x k
+exchange matrix M[i][j] = [d_j in C(a_i)] is nonsingular over GF(2) (basis
+exchange in the graphic matroid, which is binary; Oxley, Matroid Theory,
+2nd ed., 2011, section 6.4).  M has a unit diagonal, so at k = 1 every
+choice is a tree; at k = 2 the choice is a tree unless d_2 in C(a_1) and
+d_1 in C(a_2); at k >= 3 the rows are bitmasks reduced by Gaussian
+elimination.  A repeated deactivation gives two equal columns and is
+rejected by the same test.
 """
 
 from __future__ import annotations
@@ -14,7 +25,8 @@ import json
 from dataclasses import dataclass
 
 from .loadflow import ComplianceOracle, ComplianceReport
-from .network import Configuration, Network, Switchover, apply_switchover, fundamental_cycles, is_spanning_tree
+from .network import Configuration, Network, Switchover, fundamental_cycles
+from .network import is_spanning_tree  # noqa: F401  (benchmarks/selftest.py checks this name is restored after tracing)
 
 __all__ = [
     "ReconfigurationList",
@@ -59,35 +71,63 @@ def enumerate_reconfigurations(
 
     Every combination of k fundamental-cycle rows proposes the k inactive
     edges to activate; every choice of one cycle edge per row proposes the
-    deactivations.  Choices that repeat a deactivation or break the tree
-    are dropped, as are duplicates arising from overlapping cycles.  With
-    ``restrict_to`` given, only trees deactivating at least one listed edge
-    are kept.
+    deactivations.  Choices that break the tree are dropped, as are
+    duplicates arising from overlapping cycles.  With ``restrict_to`` given,
+    only trees deactivating at least one listed edge are kept; naming an
+    edge outside ``cfg`` raises ``ValueError``.
+
+    Tree-ness comes from the cycle sets alone: a choice is a tree iff its
+    exchange matrix [d_j in C(a_i)] is nonsingular over GF(2) (module
+    docstring).  At k = 1 every choice is; at k = 2 a choice is unless each
+    deactivation also lies on the other activation's cycle; at k >= 3
+    Gaussian elimination decides.  Duplicates are caught per combination,
+    since the activations fix the inactive part of the edge set.
     """
     cycles = fundamental_cycles(network, cfg)
     if not 1 <= k <= len(cycles):
         raise ValueError(f"k must be between 1 and {len(cycles)} inactive edges, got {k}")
+    if restrict_to is not None and not restrict_to <= cfg.edges:
+        outside = sorted(restrict_to - cfg.edges)
+        raise ValueError(f"cannot restrict to edges {outside}: not in the configuration")
 
-    rows = sorted(cycles.items())
-    seen: set[frozenset[int]] = set()
     entries: list[tuple[Switchover, Configuration]] = []
-    for combo in itertools.combinations(rows, k):
-        activations = frozenset(x for x, _ in combo)
-        for choice in itertools.product(*(sorted(cycle) for _, cycle in combo)):
+    for combo in itertools.combinations(sorted(cycles), k):
+        rows = [cycles[x] for x in combo]
+        activations = frozenset(combo)
+        seen: set[frozenset[int]] = set()
+        for choice in itertools.product(*map(sorted, rows)):
+            if restrict_to is not None and restrict_to.isdisjoint(choice):
+                continue
+            if not _exchange_is_tree(rows, choice):
+                continue
             deactivations = frozenset(choice)
-            if len(deactivations) < k:
+            if deactivations in seen:
                 continue
-            if restrict_to is not None and not (restrict_to & deactivations):
-                continue
+            seen.add(deactivations)
             switch = Switchover(activations, deactivations)
-            candidate = apply_switchover(cfg, switch)
-            if candidate.edges in seen:
-                continue
-            if not is_spanning_tree(network, candidate):
-                continue
-            seen.add(candidate.edges)
-            entries.append((switch, candidate))
+            entries.append((switch, Configuration(cfg.edges - deactivations | activations)))
     return ReconfigurationList(tuple(entries), k=k, restricted_to=restrict_to)
+
+
+def _exchange_is_tree(rows: list[frozenset[int]], choice: tuple[int, ...]) -> bool:
+    """Whether the exchange matrix M[i][j] = [choice[j] in rows[i]] is
+    nonsingular over GF(2); ``choice[i]`` is drawn from ``rows[i]``."""
+    k = len(choice)
+    if k == 1:
+        return True
+    if k == 2:
+        return not (choice[1] in rows[0] and choice[0] in rows[1])
+    bits = [sum(1 << j for j, d in enumerate(choice) if d in row) for row in rows]
+    for col in range(k):
+        mask = 1 << col
+        pivot = next((r for r in range(col, k) if bits[r] & mask), None)
+        if pivot is None:
+            return False
+        bits[col], bits[pivot] = bits[pivot], bits[col]
+        for r in range(col + 1, k):
+            if bits[r] & mask:
+                bits[r] ^= bits[col]
+    return True
 
 
 def step1_single_switch(

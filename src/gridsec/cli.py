@@ -248,14 +248,18 @@ def cmd_grover(args) -> int:
     space = grover.index_reconfigurations(grid, args.failing_edge, args.k)
     oracle = grover.make_oracle(grid, space)
     print(f"seed: {seed}")
-    try:
-        result = grover.grover_search(space, oracle, iterations=args.iterations, seed=seed)
-    except grover.SearchFailure:
+
+    def no_compliant_switchover() -> int:
         print(
             f"no compliant switchover within k={args.k} for failing edge {args.failing_edge}"
             f" (candidates: {space.size}, oracle queries: {oracle.queries})"
         )
         return EXIT_INSECURE
+
+    try:
+        result = grover.grover_search(space, oracle, iterations=args.iterations, seed=seed)
+    except grover.SearchFailure:
+        return no_compliant_switchover()
     if args.distribution_out:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -265,12 +269,15 @@ def cmd_grover(args) -> int:
             writer.writerow([candidate_id, repr(float(probability)), payload])
         _write(args.distribution_out, buffer.getvalue(), "distribution")
     marked = oracle.marked_ids()
+    if not marked.size:
+        return no_compliant_switchover()
     print(f"candidates: {space.size}, marked: {len(marked)}")
     print(f"iterations: {result.iterations}, oracle queries: {result.queries}")
     switch = result.switchover
     on = ",".join(map(str, sorted(switch.activate)))
     off = ",".join(map(str, sorted(switch.deactivate)))
-    print(f"sampled id {result.sampled_id}: on[{on}] off[{off}]")
+    missed = "" if result.sampled_id in marked else " (not compliant)"
+    print(f"sampled id {result.sampled_id}: on[{on}] off[{off}]{missed}")
     return EXIT_OK
 
 

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsec.classical import (
     INSECURE,
@@ -9,10 +13,83 @@ from gridsec.classical import (
     step1_single_switch,
     step2_multi_switch,
 )
+from gridsec.datasets import load_bundled
 from gridsec.loadflow import ComplianceOracle, evaluate_configuration
-from gridsec.network import Configuration, apply_switchover, is_spanning_tree
+from gridsec.network import (
+    Configuration,
+    Switchover,
+    apply_switchover,
+    fundamental_cycles,
+    is_spanning_tree,
+)
 
 from conftest import make_network, spanning_trees
+
+
+def reference_enumeration(network, cfg, k, restrict_to=None):
+    """Enumeration by brute force over cycle-edge choices: every candidate
+    is applied and checked with a union-find, and duplicate edge sets are
+    dropped across all activation combinations."""
+    cycles = fundamental_cycles(network, cfg)
+    seen = set()
+    entries = []
+    for combo in itertools.combinations(sorted(cycles.items()), k):
+        activations = frozenset(x for x, _ in combo)
+        for choice in itertools.product(*(sorted(cycle) for _, cycle in combo)):
+            deactivations = frozenset(choice)
+            if len(deactivations) < k:
+                continue
+            if restrict_to is not None and not (restrict_to & deactivations):
+                continue
+            switch = Switchover(activations, deactivations)
+            candidate = apply_switchover(cfg, switch)
+            if candidate.edges in seen or not is_spanning_tree(network, candidate):
+                continue
+            seen.add(candidate.edges)
+            entries.append((switch, candidate))
+    return entries
+
+
+@st.composite
+def grids_with_spares(draw):
+    """A random connected 4-9-node grid whose active set is a random
+    spanning tree, leaving 1-4 spare cables (parallel cables allowed)."""
+    n = draw(st.integers(4, 9), label="nodes")
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    for _ in range(draw(st.integers(1, 4), label="spares")):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
+        pairs.append((a, b))
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    active = set()
+    for eid in draw(st.permutations(range(1, len(pairs) + 1)), label="cable order"):
+        ra, rb = find(pairs[eid - 1][0]), find(pairs[eid - 1][1])
+        if ra != rb:
+            parent[ra] = rb
+            active.add(eid)
+    return make_network(n, pairs, active)
+
+
+def feeder_ring():
+    """Three 3-node feeders from OS node 0, tied tail to tail and mid to mid
+    into a ring.  Each head cable carries five nodes' load but not six, so a
+    failed head needs two switchovers to split its feeder."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9),
+             (3, 6), (6, 9), (9, 3), (2, 5), (5, 8), (8, 2)]
+    return make_network(10, edges, set(range(1, 10)), i_max={1: 100.0, 4: 100.0, 7: 100.0})
+
+
+PINNED_NETWORKS = {
+    "demo_double_switch": lambda: load_bundled("demo_double_switch"),
+    "sevenbus": lambda: load_bundled("sevenbus"),
+    "feeder_ring": feeder_ring,
+}
 
 
 class TestEnumeration:
@@ -78,6 +155,33 @@ class TestEnumeration:
         first = enumerate_reconfigurations(sevenbus, cfg, 1)
         second = enumerate_reconfigurations(sevenbus, cfg, 1)
         assert [s for s, _ in first] == [s for s, _ in second]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PINNED_NETWORKS))
+    def test_counts_match_tree_oracle(self, name, k):
+        """One entry per spanning tree 2k edges away, none repeated."""
+        net = PINNED_NETWORKS[name]()
+        cfg = net.initial_configuration()
+        expected = sum(len(tree ^ cfg.edges) == 2 * k for tree in spanning_trees(net))
+        assert len(enumerate_reconfigurations(net, cfg, k)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids_with_spares(), st.data())
+    def test_matches_reference_enumeration(self, net, data):
+        """Same entries in the same order as the union-find enumeration."""
+        cfg = net.initial_configuration()
+        restrict = frozenset(data.draw(st.sets(st.sampled_from(sorted(cfg.edges))), label="restrict"))
+        for k in range(1, min(3, len(net.inactive_ids)) + 1):
+            for restrict_to in (None, restrict):
+                produced = enumerate_reconfigurations(net, cfg, k, restrict_to)
+                assert list(produced) == reference_enumeration(net, cfg, k, restrict_to)
+
+    @pytest.mark.parametrize("edge", [5, 99])
+    def test_restrict_outside_configuration_rejected(self, sevenbus, edge):
+        # 5 is an inactive spare, 99 no edge at all
+        cfg = sevenbus.initial_configuration()
+        with pytest.raises(ValueError, match=rf"\[{edge}\]"):
+            enumerate_reconfigurations(sevenbus, cfg, 1, restrict_to=frozenset({2, edge}))
 
 
 class TestStepOne:
@@ -211,6 +315,51 @@ class TestFullCheck:
         assert doc["overall"] is False
         assert doc["per_edge"]["2"]["status"] == "SECURE_K1"
         assert doc["per_edge"]["2"]["witness"]["activate"] == [4]
+
+    @pytest.mark.parametrize(
+        "name, calls, table",
+        [
+            ("demo_double_switch", 22, {
+                1: (SECURE_KN, 2, ((2, 3), (1, 7))),
+                4: (SECURE_K1, 1, ((2,), (4,))),
+                7: (SECURE_K1, 1, ((3,), (7,))),
+                8: (SECURE_K1, 1, ((5,), (8,))),
+                9: (INSECURE, None, None),
+                10: (SECURE_K1, 1, ((6,), (10,))),
+            }),
+            ("sevenbus", 11, {
+                1: (INSECURE, None, None),
+                2: (SECURE_K1, 1, ((4,), (2,))),
+                3: (SECURE_K1, 1, ((4,), (3,))),
+                6: (INSECURE, None, None),
+                7: (SECURE_K1, 1, ((4,), (7,))),
+                8: (SECURE_K1, 1, ((4,), (8,))),
+            }),
+            ("feeder_ring", 89, {
+                1: (SECURE_KN, 2, ((10, 15), (1, 3))),
+                2: (SECURE_K1, 1, ((10,), (2,))),
+                3: (SECURE_K1, 1, ((10,), (3,))),
+                4: (SECURE_KN, 2, ((10, 14), (4, 6))),
+                5: (SECURE_K1, 1, ((10,), (5,))),
+                6: (SECURE_K1, 1, ((10,), (6,))),
+                7: (SECURE_KN, 2, ((10, 14), (6, 7))),
+                8: (SECURE_K1, 1, ((11,), (8,))),
+                9: (SECURE_K1, 1, ((11,), (9,))),
+            }),
+        ],
+    )
+    def test_pinned_k2_verdicts(self, name, calls, table):
+        """Load-flow calls, verdicts and witnesses of the k=2 check."""
+        report = check_n1(PINNED_NETWORKS[name](), k_max=2)
+        assert report.loadflow_calls == calls
+        produced = {}
+        for eid, verdict in report.per_edge.items():
+            witness = verdict.witness and (
+                tuple(sorted(verdict.witness.activate)),
+                tuple(sorted(verdict.witness.deactivate)),
+            )
+            produced[eid] = (verdict.status, verdict.k, witness)
+        assert produced == table
 
     def test_step2_contributions_reported(self):
         """An edge only fixable at k=2 is labeled with the k that fixed it."""

@@ -96,6 +96,16 @@ class TestEnumerate:
         assert code == 1
         assert "k must be" in err
 
+    def test_failing_edge_outside_configuration(self, capsys):
+        # 5 is an inactive spare, 99 no edge at all
+        for edge in ("5", "99"):
+            code, out, err = run(
+                capsys, "enumerate", "--network", SEVENBUS, "--k", "1", "--failing-edge", edge
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: cannot restrict to edges [{edge}]: not in the configuration\n"
+
 
 class TestLoadflow:
     def test_fixture_swap_compliant(self, capsys):
@@ -290,3 +300,26 @@ class TestGrover:
         assert out.splitlines()[0] == "seed: 1"
         assert out.splitlines()[1].startswith("no compliant switchover within k=1 for failing edge 6")
         assert len(out.splitlines()) == 2
+
+    def test_fixed_iterations_on_unfixable_edge(self, capsys):
+        code, out, err = run(
+            capsys, "grover", "--network", SEVENBUS, "--failing-edge", "6",
+            "--iterations", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert err == ""
+        assert out.splitlines() == [
+            "seed: 1",
+            "no compliant switchover within k=1 for failing edge 6"
+            " (candidates: 1, oracle queries: 1)",
+        ]
+
+    def test_fixed_iterations_flags_a_missed_sample(self, capsys):
+        # no amplification: seed 1 samples id 1, while only id 0 is compliant
+        code, out, _ = run(
+            capsys, "grover", "--network", DEMO_K1, "--failing-edge", "2",
+            "--iterations", "0", "--seed", "1",
+        )
+        assert code == 0
+        assert "candidates: 4, marked: 1" in out
+        assert out.splitlines()[-1] == "sampled id 1: on[7] off[2] (not compliant)"
