@@ -1,20 +1,25 @@
 """Desk-scale simulation of the amplitude-amplification search over indexed
 reconfigurations.
 
-Candidates are numbered 0..N-1; the simulator works directly on the real
-N-vector of amplitudes (phase flip of marked entries, then reflection about
-the mean), which reproduces the qubit dynamics exactly for a uniform start
-while handling any N without power-of-two padding.
+Candidates are numbered 0..N-1.  From a uniform start, the phase flip of
+marked ids and the reflection about the mean keep one amplitude ``a`` on
+every marked id and one ``b`` on every unmarked id (the two-dimensional
+invariant subspace of Boyer, Brassard, Hoyer & Tapp, 1998), so the search
+evolves the exact pair ``(a, b)`` for any N and samples from closed-form
+prefix sums; ``grover_iterate`` keeps the N-vector step as the reference.
 
 Query accounting follows the grey-box convention: one amplification
 iteration costs one oracle query, and every classical verification of a
 sampled candidate costs one more.  The classical baseline pays one query
-per candidate tested.
+per candidate tested.  All of it is charged from the oracle's marked set,
+read once per search and not itself counted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +114,15 @@ class Oracle:
 
     @classmethod
     def from_marked(cls, marked_ids, size: int) -> Oracle:
-        marked = frozenset(marked_ids)
-        return cls(lambda i: i in marked, size)
+        marked = np.unique(np.fromiter(map(operator.index, marked_ids), dtype=np.int64))
+        if marked.size and (marked[0] < 0 or marked[-1] >= size):
+            raise ValueError(f"marked ids must lie in [0, {size})")
+        oracle = cls(frozenset(marked.tolist()).__contains__, size)
+        oracle._marked = marked
+        return oracle
 
     def marked_ids(self) -> np.ndarray:
-        """Ids the oracle marks; evaluated once, not counted as queries."""
+        """Sorted ids the oracle marks; evaluated once, not counted as queries."""
         if self._marked is None:
             self._marked = np.array(
                 [i for i in range(self.size) if self._predicate(i)], dtype=np.int64
@@ -192,14 +201,6 @@ class GroverResult:
     rounds: int = 1
 
 
-def _evolve(n: int, marked: np.ndarray, iterations: int, oracle: Oracle) -> np.ndarray:
-    state = uniform_state(n)
-    for _ in range(iterations):
-        oracle.count_iteration()
-        state = grover_iterate(state, marked)
-    return state
-
-
 def grover_search(
     space: SearchSpace,
     oracle: Oracle,
@@ -219,24 +220,41 @@ def grover_search(
         raise SearchSpaceError("cannot search an empty space")
     rng = np.random.Generator(np.random.Philox(key=seed))
     marked = oracle.marked_ids()
+    members = marked.tolist()
+    hits = frozenset(members)
+    m = len(members)
 
-    def sample_from(state: np.ndarray) -> int:
-        probabilities = state * state
-        probabilities = probabilities / probabilities.sum()
-        return int(rng.choice(n, p=probabilities))
+    def amplify(t: int) -> tuple[float, float]:
+        """Marked and unmarked amplitudes after t steps from the uniform state."""
+        oracle.queries += t
+        a = b = 1.0 / math.sqrt(n)
+        for _ in range(t):
+            mean = ((n - m) * b - m * a) / n
+            a, b = 2.0 * mean + a, 2.0 * mean - b
+        return a, b
+
+    def sample(a: float, b: float) -> int:
+        """``rng.choice(n, p=...)``'s rule: one uniform u, then the smallest id
+        whose cumulative probability exceeds it, from closed-form prefix sums."""
+        pa, pb = a * a, b * b
+        total = m * pa + (n - m) * pb
+
+        def cumulative(i: int) -> float:
+            below = bisect_right(members, i)
+            return (below * pa + (i + 1 - below) * pb) / total
+
+        return bisect_right(range(n), rng.random(), key=cumulative)
+
+    def found(sampled: int, a: float, b: float, t: int, rounds: int = 1) -> GroverResult:
+        distribution = np.full(n, b * b)
+        distribution[marked] = a * a
+        return GroverResult(sampled, space.switchover(sampled), distribution, t, oracle.queries, rounds)
 
     if iterations is not None:
         if iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {iterations}")
-        state = _evolve(n, marked, iterations, oracle)
-        sampled = sample_from(state)
-        return GroverResult(
-            sampled_id=sampled,
-            switchover=space.switchover(sampled),
-            distribution=state * state,
-            iterations=iterations,
-            queries=oracle.queries,
-        )
+        a, b = amplify(iterations)
+        return found(sample(a, b), a, b, iterations)
 
     bound = 1.0
     growth = 6.0 / 5.0
@@ -247,18 +265,12 @@ def grover_search(
     while spent <= budget:
         rounds += 1
         t = int(rng.integers(0, max(1, math.ceil(bound))))
-        state = _evolve(n, marked, t, oracle)
+        a, b = amplify(t)
         spent += t
-        sampled = sample_from(state)
-        if oracle.classical_check(sampled):
-            return GroverResult(
-                sampled_id=sampled,
-                switchover=space.switchover(sampled),
-                distribution=state * state,
-                iterations=t,
-                queries=oracle.queries,
-                rounds=rounds,
-            )
+        sampled = sample(a, b)
+        oracle.queries += 1  # the classical verification, read off the marked set
+        if sampled in hits:
+            return found(sampled, a, b, t, rounds)
         spent += 1
         bound = min(growth * bound, ceiling)
     raise SearchFailure(
@@ -267,8 +279,16 @@ def grover_search(
 
 
 def classical_scan(space: SearchSpace, oracle: Oracle) -> int | None:
-    """Exhaustive baseline: test candidates in id order, one query each."""
-    for candidate_id in range(space.size):
-        if oracle.classical_check(candidate_id):
-            return candidate_id
-    return None
+    """Exhaustive baseline: test candidates in id order, one query each, so
+    first marked id + 1 queries, or N on a miss.  An oracle that already holds
+    its marked set is charged from it; a predicate-backed one is evaluated
+    per candidate and stops at the first hit."""
+    marked = oracle._marked
+    if marked is None:
+        for candidate_id in range(space.size):
+            if oracle.classical_check(candidate_id):
+                return candidate_id
+        return None
+    first = int(marked[0]) if marked.size and marked[0] < space.size else None
+    oracle.queries += space.size if first is None else first + 1
+    return first

@@ -286,6 +286,11 @@ def default_levels(network: Network, failing_edge: int | None = None) -> int:
 def _tree_variables(
     network: Network, levels: int, failing_edge: int | None, alloc: VarAllocator
 ) -> TreeVarLayout:
+    if failing_edge is not None:
+        if failing_edge not in network.edge_by_id:
+            raise ValueError(f"unknown edge id {failing_edge}")
+        if failing_edge not in network.active_ids:
+            raise ValueError(f"failing edge {failing_edge} is not active")
     node_bits = {
         node.id: alloc.new_block(levels - 1, f"x[v={node.id},{{0}}]") for node in network.nodes
     }
@@ -419,11 +424,6 @@ def build_tree_qubo(
     """
     if levels < 2:
         raise ValueError(f"need at least 2 depth levels, got {levels}")
-    if failing_edge is not None:
-        if failing_edge not in network.edge_by_id:
-            raise ValueError(f"unknown edge id {failing_edge}")
-        if failing_edge not in network.active_ids:
-            raise ValueError(f"failing edge {failing_edge} is not active")
     weights = (weights or PenaltyWeights()).validated().resolved(
         len(network.edges) - (1 if failing_edge is not None else 0)
     )

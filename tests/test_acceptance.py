@@ -502,7 +502,7 @@ def test_criterion_7_double_switch_demo_three_solutions(demo_k2):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_quadratic_query_advantage():
-    sizes = [64, 256, 1024, 4096]
+    sizes = [64, 256, 1024, 4096, 65536, 2**20]
     seeds_per_size = 100
     grover_means = []
     for n in sizes:

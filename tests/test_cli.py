@@ -189,6 +189,20 @@ class TestQubo:
         tree_q, _ = Qubo.loads(tree.read_text())
         assert tree_q.n < full_q.n
 
+    def test_bad_failing_edge_is_input_error(self, capsys, tmp_path):
+        # 99 is no edge at all, 5 an inactive spare; neither writes a QUBO
+        out_path = tmp_path / "problem.qubo"
+        for edge, message in (("99", "unknown edge id 99"), ("5", "failing edge 5 is not active")):
+            for extra in ([], ["--tree-only"]):
+                code, out, err = run(
+                    capsys, "qubo", "--network", SEVENBUS, "--failing-edge", edge,
+                    "--out", str(out_path), *extra,
+                )
+                assert code == 1
+                assert out == ""
+                assert err == f"error: {message}\n"
+                assert not out_path.exists()
+
     def test_weights_json_validation(self, capsys):
         code, _, err = run(
             capsys, "qubo", "--network", SEVENBUS, "--weights", '{"bogus": 1}',
@@ -223,6 +237,17 @@ class TestAnneal:
         assert doc["seed"] == 5
         assert doc["reads"] == 20
         assert sum(b["feasible"] + b["infeasible"] for b in doc["histogram"]["bins"]) == 20
+
+    def test_bad_failing_edge_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("GRIDSEC_SEED", raising=False)
+        for edge, message in (("99", "unknown edge id 99"), ("5", "failing edge 5 is not active")):
+            code, out, err = run(
+                capsys, "anneal", "--network", SEVENBUS, "--failing-edge", edge,
+                "--reads", "2", "--sweeps", "10", "--seed", "5",
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {message}\n"
 
     def test_beta_window_flags(self, capsys, monkeypatch):
         monkeypatch.delenv("GRIDSEC_SEED", raising=False)

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridsec.cli import main
+from gridsec.datasets import bundled_path
 from gridsec.grover import (
     Oracle,
     SearchFailure,
@@ -109,6 +117,20 @@ class TestOracle:
         oracle.classical_check(3)
         assert oracle.queries == 2
 
+    def test_from_marked_rejects_ids_outside_the_space(self):
+        for bad in ({-1}, {8}, {-1, 99}, {0, 8}):
+            with pytest.raises(ValueError, match=r"marked ids must lie in \[0, 8\)"):
+                Oracle.from_marked(bad, size=8)
+        with pytest.raises(TypeError):
+            Oracle.from_marked({1.5}, size=8)
+
+    def test_from_marked_ids_sorted_and_unique(self):
+        oracle = Oracle.from_marked([5, 0, 7, 5], size=8)
+        assert oracle.marked_ids().tolist() == [0, 5, 7]
+        assert [oracle.classical_check(i) for i in range(8)] == [
+            True, False, False, False, False, True, False, True
+        ]
+
     def test_classical_scan_counts_per_candidate(self):
         oracle = Oracle.from_marked({5}, size=8)
         space = SearchSpace.synthetic(8)
@@ -119,6 +141,22 @@ class TestOracle:
         oracle = Oracle.from_marked(set(), size=4)
         assert classical_scan(SearchSpace.synthetic(4), oracle) is None
         assert oracle.queries == 4
+
+    def test_classical_scan_stops_predicate_at_first_hit(self):
+        evaluated = []
+
+        def predicate(candidate_id):
+            evaluated.append(candidate_id)
+            return candidate_id in (3, 6)
+
+        oracle = Oracle(predicate, size=8)
+        assert classical_scan(SearchSpace.synthetic(8), oracle) == 3
+        assert oracle.queries == 4
+        assert evaluated == [0, 1, 2, 3]
+
+        missing = Oracle(lambda candidate_id: False, size=5)
+        assert classical_scan(SearchSpace.synthetic(5), missing) is None
+        assert missing.queries == 5
 
 
 class TestIterate:
@@ -241,3 +279,149 @@ class TestSearch:
             classical_total += baseline.queries
         assert grover_total / runs <= 4 * math.sqrt(n)
         assert classical_total / runs >= n / 2 * 0.8  # mean position of a random target
+
+
+# ---------------------------------------------------------------------------
+# the statevector search, kept as the reference for the two-amplitude one
+# ---------------------------------------------------------------------------
+
+def reference_search(n, marked, iterations, seed):
+    """``(sampled_id, queries, rounds, iterations)`` and the final probability
+    vector of the N-vector search: ``grover_iterate`` steps from
+    ``uniform_state``, ``rng.choice`` on the squared amplitudes, and one query
+    per step and per verified sample."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    members = frozenset(marked.tolist())
+    queries = 0
+
+    def evolve(t):
+        nonlocal queries
+        state = uniform_state(n)
+        for _ in range(t):
+            queries += 1
+            state = grover_iterate(state, marked)
+        return state
+
+    def sample(state):
+        probabilities = state * state
+        return int(rng.choice(n, p=probabilities / probabilities.sum()))
+
+    if iterations is not None:
+        state = evolve(iterations)
+        return (sample(state), queries, 1, iterations), state * state
+    bound = 1.0
+    ceiling = math.sqrt(n)
+    budget = int(30.0 * math.sqrt(n)) + 30
+    spent = rounds = 0
+    while spent <= budget:
+        rounds += 1
+        t = int(rng.integers(0, max(1, math.ceil(bound))))
+        state = evolve(t)
+        spent += t
+        sampled = sample(state)
+        queries += 1
+        if sampled in members:
+            return (sampled, queries, rounds, t), state * state
+        spent += 1
+        bound = min(6.0 / 5.0 * bound, ceiling)
+    raise SearchFailure
+
+
+def exact_distribution(n, marked, t):
+    """Probabilities after t steps from the closed form sin^2 / cos^2 of
+    (2t+1) asin sqrt(M/N), in extended precision."""
+    m = len(marked)
+    probabilities = np.full(n, 1 / np.longdouble(n))
+    if 0 < m < n:
+        angle = (2 * t + 1) * np.arcsin(np.sqrt(np.longdouble(m) / n))
+        probabilities[:] = np.cos(angle) ** 2 / (n - m)
+        probabilities[marked] = np.sin(angle) ** 2 / m
+    return probabilities
+
+
+def reference_scan(n, marked):
+    """Per-candidate scan: ``(first marked id or None, queries)``."""
+    members = frozenset(marked.tolist())
+    for candidate_id in range(n):
+        if candidate_id in members:
+            return candidate_id, candidate_id + 1
+    return None, n
+
+
+@st.composite
+def marked_sets(draw):
+    n = draw(st.integers(1, 4096))
+    kind = draw(st.sampled_from(("empty", "one", "some", "full")))
+    if kind == "empty":
+        marked = np.array([], dtype=np.int64)
+    elif kind == "one":
+        marked = np.array([draw(st.integers(0, n - 1))], dtype=np.int64)
+    elif kind == "full":
+        marked = np.arange(n, dtype=np.int64)
+    else:
+        density = draw(st.floats(0.0, 1.0))
+        picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+        marked = np.flatnonzero(picks < density).astype(np.int64)
+    return n, marked
+
+
+class TestTwoAmplitudeMatchesStatevector:
+    @given(
+        case=marked_sets(),
+        seed=st.integers(0, 2**32 - 1),
+        iterations=st.integers(0, 64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_search_and_scan(self, case, seed, iterations):
+        n, marked = case
+        space = SearchSpace.synthetic(n)
+        for fixed in (None, iterations):
+            try:
+                expected, probabilities = reference_search(n, marked, fixed, seed)
+            except SearchFailure:
+                with pytest.raises(SearchFailure):
+                    grover_search(space, Oracle.from_marked(marked, n), iterations=fixed, seed=seed)
+                continue
+            result = grover_search(space, Oracle.from_marked(marked, n), iterations=fixed, seed=seed)
+            assert (result.sampled_id, result.queries, result.rounds, result.iterations) == expected
+            # the statevector's np.mean reflections drift from the exact values
+            # by up to about 1.4e-14 at t near 60, so the probabilities are
+            # held to the closed form instead
+            exact = exact_distribution(n, marked, result.iterations)
+            assert np.max(np.abs(result.distribution - exact)) <= 1e-14
+            assert np.max(np.abs(probabilities - exact)) <= 1e-13
+
+        baseline = Oracle.from_marked(marked, n)
+        found = classical_scan(space, baseline)
+        assert (found, baseline.queries) == reference_scan(n, marked)
+
+
+# ---------------------------------------------------------------------------
+# CLI transcripts pinned against the statevector implementation
+# ---------------------------------------------------------------------------
+
+GROVER_CLI_CASES = json.loads(
+    (Path(__file__).parent / "data" / "grover_cli_seed11.json").read_text()
+)
+
+
+@pytest.mark.parametrize("network", sorted({case["network"] for case in GROVER_CLI_CASES}))
+def test_grover_cli_output_unchanged(network):
+    """``gridsec grover --seed 11`` on every active failing edge of the bundled
+    networks, at k=1 and k=2, with and without ``--iterations 1``: exit code,
+    stdout and stderr equal those the statevector simulator printed."""
+    cases = [case for case in GROVER_CLI_CASES if case["network"] == network]
+    assert cases
+    for case in cases:
+        argv = [
+            "grover", "--network", str(bundled_path(network)),
+            "--failing-edge", str(case["failing_edge"]), "--k", str(case["k"]), "--seed", "11",
+        ]
+        if case["iterations"] is not None:
+            argv += ["--iterations", str(case["iterations"])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case

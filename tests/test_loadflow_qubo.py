@@ -166,6 +166,13 @@ class TestCombined:
                 bits[z_bit] = gate * bits[u_bit]
         return bits
 
+    @pytest.mark.parametrize("edge,message", [(99, "unknown edge id 99"),
+                                              (5, "failing edge 5 is not active")])
+    def test_bad_failing_edge_rejected(self, sevenbus, edge, message):
+        # 99 is no edge at all, 5 an inactive spare
+        with pytest.raises(ValueError, match=message):
+            build_n1_qubo(sevenbus, failing_edge=edge)
+
     def test_structure_is_quadratic_with_expected_size(self, sevenbus):
         qubo, layout = build_n1_qubo(sevenbus, failing_edge=2, levels=5,
                                      bits_real=4, bits_imag=4, bits_current=4)
