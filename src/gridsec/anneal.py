@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .n1qubo import decode_solution
+from .n1qubo import STRUCTURAL_GROUPS, is_feasible
 from .qubo import Qubo
 
 __all__ = [
@@ -117,18 +117,14 @@ class SampleSet:
         return np.repeat(self.samples, self.multiplicities, axis=0)
 
 
-def _flip_bounds(qubo: Qubo) -> np.ndarray:
-    bounds = np.abs(qubo.to_dense())
-    return bounds.sum(axis=0) + bounds.sum(axis=1) - np.diag(bounds)
-
-
 def auto_beta_range(qubo: Qubo) -> tuple[float, float]:
     """Hot end accepts the largest possible flip half the time; cold end
     freezes the smallest coefficient magnitude (the finest energy
     granularity a single flip can produce) down to 1%."""
-    bounds = _flip_bounds(qubo)
+    upper = np.abs(qubo.to_dense())
+    bounds = upper.sum(axis=0) + upper.sum(axis=1) - np.diag(upper)
     nonzero_bounds = bounds[bounds > 0]
-    coeffs = np.array([abs(c) for c in qubo.coeffs.values() if c != 0.0])
+    coeffs = upper[upper > 0]
     if nonzero_bounds.size == 0 or coeffs.size == 0:
         return (0.1, 1.0)
     d_max = float(nonzero_bounds.max())
@@ -293,11 +289,16 @@ class EnergyHistogram:
 
 
 def energy_histogram(qubo: Qubo, samples: SampleSet, layout) -> EnergyHistogram:
-    """Tag every sample through :func:`decode_solution` and bin by energy."""
+    """Bin every sample by energy, tagged by the feasibility rule of
+    :func:`decode_solution` applied to one batched pass per structural group."""
+    penalties = {
+        name: group.energies(samples.samples)
+        for name, group in layout.groups.items()
+        if name in STRUCTURAL_GROUPS
+    }
+    feasible = np.broadcast_to(is_feasible(penalties), (len(samples),))
     bins: dict[float, list[int]] = {}
-    for bits, energy, multiplicity in samples:
-        feasible = decode_solution(bits, layout).feasible
-        key = round(energy, 9)
-        slot = bins.setdefault(key, [0, 0])
-        slot[0 if feasible else 1] += multiplicity
+    for (_, energy, multiplicity), ok in zip(samples, feasible):
+        slot = bins.setdefault(round(energy, 9), [0, 0])
+        slot[0 if ok else 1] += multiplicity
     return EnergyHistogram({k: (f, i) for k, (f, i) in bins.items()})

@@ -137,7 +137,7 @@ def cmd_qubo(args) -> int:
     grid = _load(args.network)
     weights = _weights_from(args)
     if args.tree_only:
-        levels = args.height or n1qubo.default_levels(grid, args.failing_edge)
+        levels = args.height or n1qubo.default_levels(grid)
         qubo, layout = n1qubo.build_tree_qubo(
             grid, levels, weights=weights, failing_edge=args.failing_edge
         )
@@ -179,7 +179,7 @@ def cmd_anneal(args) -> int:
     seed = _seed_from(args)
     weights = _weights_from(args)
     if args.tree_only:
-        levels = args.height or n1qubo.default_levels(grid, args.failing_edge)
+        levels = args.height or n1qubo.default_levels(grid)
         qubo, layout = n1qubo.build_tree_qubo(
             grid, levels, weights=weights, failing_edge=args.failing_edge
         )
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     def qubo_params(p):
         p.add_argument("--failing-edge", type=int, default=None)
         p.add_argument("--height", type=int, default=None,
-                       help="depth levels of the rooted-tree encoding")
+                       help="depth levels of the rooted-tree encoding (default: node count)")
         p.add_argument("--bits-u", type=int, default=4, help="bits per real voltage")
         p.add_argument("--bits-ui", type=int, default=4, help="bits per imaginary voltage")
         p.add_argument("--bits-i", type=int, default=4, help="bits per branch current")

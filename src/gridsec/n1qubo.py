@@ -29,14 +29,16 @@ and current equation is row-equilibrated (divided by its largest affine
 coefficient) before squaring, so one stiff low-impedance cable cannot
 flatten the rest of the energy landscape.
 
-In the combined QUBO the voltage of node ``w`` seen through edge ``e`` is
-the gated product ``y_e * U_w``, linearized with auxiliary bits
-``z = y * u`` and the pairwise consistency penalty.
+One assembler builds these residuals for both QUBOs, given the voltage of
+node ``w`` as seen through edge ``e``: ``U_w`` for a fixed configuration; in
+the combined QUBO the gated product ``y_e * U_w``, linearized with auxiliary
+bits ``z = y * u`` and the pairwise consistency penalty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -62,6 +64,7 @@ __all__ = [
     "build_loadflow_qubo",
     "build_n1_qubo",
     "decode_solution",
+    "is_feasible",
     "rounded_reference_bits",
     "quantization_epsilon",
 ]
@@ -258,29 +261,11 @@ class N1QuboLayout:
 # tree QUBO
 # ---------------------------------------------------------------------------
 
-def default_levels(network: Network, failing_edge: int | None = None) -> int:
-    """Depth-value count: min(|V|, graph diameter + 1) over usable edges."""
-    n = len(network.nodes)
-    adjacency: dict[int, list[int]] = {node.id: [] for node in network.nodes}
-    for edge in network.edges:
-        if edge.id == failing_edge:
-            continue
-        adjacency[edge.n].append(edge.m)
-        adjacency[edge.m].append(edge.n)
-    diameter = 0
-    for start in adjacency:
-        depth = {start: 0}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop(0)
-            for neighbor in adjacency[current]:
-                if neighbor not in depth:
-                    depth[neighbor] = depth[current] + 1
-                    frontier.append(neighbor)
-        if len(depth) != n:
-            return max(2, n)
-        diameter = max(diameter, max(depth.values()))
-    return max(2, min(n, diameter + 1))
+def default_levels(network: Network) -> int:
+    """Depth-value count |V| (at least 2): no spanning tree on |V| nodes is
+    taller than |V| - 1, so every OS-rooted tree encodes.  The graph diameter
+    is no such bound, as a switchover can leave a far taller tree."""
+    return max(2, len(network.nodes))
 
 
 def _tree_variables(
@@ -430,17 +415,33 @@ def build_tree_qubo(
     alloc = alloc or VarAllocator()
     layout = _tree_variables(network, levels, failing_edge, alloc)
     layout.groups = _tree_groups(network, layout)
-    layout.weights = {
+    layout.weights = _tree_weights(weights)
+    return _weighted_sum(layout.groups, layout.weights, layout.num_vars), layout
+
+
+def _tree_weights(weights: PenaltyWeights) -> dict[str, float]:
+    return {
         "domain_wall": weights.dw,
         "root": weights.root,
         "connectivity": weights.con,
         "indicator": weights.ind,
         "objective": 1.0,
     }
-    total = QuboBuilder(layout.num_vars)
-    for name, group in layout.groups.items():
-        total.add_qubo(group, layout.weights[name])
-    return total.build(layout.num_vars), layout
+
+
+def _residual_weights(weights: PenaltyWeights) -> dict[str, float]:
+    return {
+        "residual_real": weights.u_real,
+        "residual_imag": weights.u_imag,
+        "current": weights.current,
+    }
+
+
+def _weighted_sum(groups: dict[str, Qubo], weights: dict[str, float], n: int) -> Qubo:
+    total = QuboBuilder(n)
+    for name, group in groups.items():
+        total.add_qubo(group, weights[name])
+    return total.build(n)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +519,85 @@ def _voltage_form(layout: LoadflowVarLayout, nid: int, part: str) -> tuple[dict[
     return {b: c for b, c in zip(bits, coefs)}, const
 
 
+def _residual_groups(
+    network: Network,
+    layout: LoadflowVarLayout,
+    edge_ids: list[int],
+    voltage: Callable[[int, int, str], tuple[dict[int, float], float]],
+) -> dict[str, Qubo]:
+    """Balance and current residual groups over the given edges.
+
+    ``voltage(eid, nid, part)`` is the affine form of node ``nid``'s voltage
+    part as seen through edge ``eid``: the node's own form for a fixed
+    configuration, the gated product ``y_e * U_nid`` in the N-1 QUBO.  The
+    load injection always uses the node's own form.
+    """
+    real_group = QuboBuilder(layout.num_vars)
+    imag_group = QuboBuilder(layout.num_vars)
+    adj: dict[int, list[int]] = {node.id: [] for node in network.nodes}
+    for eid in edge_ids:
+        edge = network.edge_by_id[eid]
+        adj[edge.n].append(eid)
+        adj[edge.m].append(eid)
+
+    def add_flow(
+        form: dict[int, float], eid: int, nid: int, other: int, beta: float, gamma: float
+    ) -> float:
+        """Merge beta (Un^R - Um^R) - gamma (Un^I - Um^I) into ``form``, the
+        voltages seen through edge ``eid``; return the expression's constant."""
+        ur_n, cn = voltage(eid, nid, "R")
+        ur_m, cm = voltage(eid, other, "R")
+        ui_n, cin = voltage(eid, nid, "I")
+        ui_m, cim = voltage(eid, other, "I")
+        _merge_terms(form, ur_n, beta)
+        _merge_terms(form, ur_m, -beta)
+        _merge_terms(form, ui_n, -gamma)
+        _merge_terms(form, ui_m, gamma)
+        return beta * (cn - cm) - gamma * (cin - cim)
+
+    for nid in network.msr_ids:
+        node = network.node_by_id[nid]
+        y_load = admittance(node.load, node.u_nom)
+        ur_terms, ur_const = _voltage_form(layout, nid, "R")
+        ui_terms, ui_const = _voltage_form(layout, nid, "I")
+
+        real_form: dict[int, float] = {}
+        imag_form: dict[int, float] = {}
+        # injection current of the constant-impedance load: U * Y
+        _merge_terms(real_form, ur_terms, y_load.real)
+        _merge_terms(real_form, ui_terms, -y_load.imag)
+        real_const = y_load.real * ur_const - y_load.imag * ui_const
+        _merge_terms(imag_form, ur_terms, y_load.imag)
+        _merge_terms(imag_form, ui_terms, y_load.real)
+        imag_const = y_load.imag * ur_const + y_load.real * ui_const
+
+        for eid in adj[nid]:
+            edge = network.edge_by_id[eid]
+            other = edge.m if edge.n == nid else edge.n
+            inv_z = 1.0 / edge.z
+            real_const += add_flow(real_form, eid, nid, other, inv_z.real, inv_z.imag)
+            # gamma (Un^R - Um^R) + beta (Un^I - Um^I)
+            imag_const += add_flow(imag_form, eid, nid, other, inv_z.imag, -inv_z.real)
+
+        _add_equation(real_group, real_form, real_const)
+        _add_equation(imag_group, imag_form, imag_const)
+
+    current_group = QuboBuilder(layout.num_vars)
+    for eid, var_bits in layout.bits_current.items():
+        edge = network.edge_by_id[eid]
+        inv_z = 1.0 / edge.z
+        const_i, coefs_i = layout.enc_current[eid]
+        form: dict[int, float] = dict(zip(var_bits, coefs_i))
+        const_i += add_flow(form, eid, edge.n, edge.m, inv_z.real, inv_z.imag)
+        _add_equation(current_group, form, const_i)
+
+    return {
+        "residual_real": real_group.build(layout.num_vars),
+        "residual_imag": imag_group.build(layout.num_vars),
+        "current": current_group.build(layout.num_vars),
+    }
+
+
 def build_loadflow_qubo(
     network: Network,
     cfg: Configuration,
@@ -541,87 +621,11 @@ def build_loadflow_qubo(
     layout = _loadflow_variables(
         network, current_edges, bits_real, bits_imag, bits_current, cfg, alloc
     )
-
-    real_group = QuboBuilder(layout.num_vars)
-    imag_group = QuboBuilder(layout.num_vars)
-    adj: dict[int, list[int]] = {node.id: [] for node in network.nodes}
-    for eid in sorted(cfg.edges):
-        edge = network.edge_by_id[eid]
-        adj[edge.n].append(eid)
-        adj[edge.m].append(eid)
-
-    for nid in network.msr_ids:
-        node = network.node_by_id[nid]
-        y_load = admittance(node.load, node.u_nom)
-        ur_terms, ur_const = _voltage_form(layout, nid, "R")
-        ui_terms, ui_const = _voltage_form(layout, nid, "I")
-
-        real_form: dict[int, float] = {}
-        imag_form: dict[int, float] = {}
-        # injection current of the constant-impedance load: U * Y
-        _merge_terms(real_form, ur_terms, y_load.real)
-        _merge_terms(real_form, ui_terms, -y_load.imag)
-        real_const = y_load.real * ur_const - y_load.imag * ui_const
-        _merge_terms(imag_form, ur_terms, y_load.imag)
-        _merge_terms(imag_form, ui_terms, y_load.real)
-        imag_const = y_load.imag * ur_const + y_load.real * ui_const
-
-        for eid in adj[nid]:
-            edge = network.edge_by_id[eid]
-            other = edge.m if edge.n == nid else edge.n
-            inv_z = 1.0 / edge.z
-            beta, gamma = inv_z.real, inv_z.imag
-            our_terms, oc = _voltage_form(layout, other, "R")
-            oui_terms, oic = _voltage_form(layout, other, "I")
-            # beta (Un^R - Um^R) - gamma (Un^I - Um^I)
-            _merge_terms(real_form, ur_terms, beta)
-            _merge_terms(real_form, our_terms, -beta)
-            _merge_terms(real_form, ui_terms, -gamma)
-            _merge_terms(real_form, oui_terms, gamma)
-            real_const += beta * (ur_const - oc) - gamma * (ui_const - oic)
-            # gamma (Un^R - Um^R) + beta (Un^I - Um^I)
-            _merge_terms(imag_form, ur_terms, gamma)
-            _merge_terms(imag_form, our_terms, -gamma)
-            _merge_terms(imag_form, ui_terms, beta)
-            _merge_terms(imag_form, oui_terms, -beta)
-            imag_const += gamma * (ur_const - oc) + beta * (ui_const - oic)
-
-        _add_equation(real_group, real_form, real_const)
-        _add_equation(imag_group, imag_form, imag_const)
-
-    current_group = QuboBuilder(layout.num_vars)
-    for eid in current_edges:
-        edge = network.edge_by_id[eid]
-        inv_z = 1.0 / edge.z
-        beta, gamma = inv_z.real, inv_z.imag
-        const_i, coefs_i = layout.enc_current[eid]
-        form: dict[int, float] = {b: c for b, c in zip(layout.bits_current[eid], coefs_i)}
-        total_const = const_i
-        ur_n, cn = _voltage_form(layout, edge.n, "R")
-        ur_m, cm = _voltage_form(layout, edge.m, "R")
-        ui_n, cin = _voltage_form(layout, edge.n, "I")
-        ui_m, cim = _voltage_form(layout, edge.m, "I")
-        _merge_terms(form, ur_n, beta)
-        _merge_terms(form, ur_m, -beta)
-        _merge_terms(form, ui_n, -gamma)
-        _merge_terms(form, ui_m, gamma)
-        total_const += beta * (cn - cm) - gamma * (cin - cim)
-        _add_equation(current_group, form, total_const)
-
-    layout.groups = {
-        "residual_real": real_group.build(layout.num_vars),
-        "residual_imag": imag_group.build(layout.num_vars),
-        "current": current_group.build(layout.num_vars),
-    }
-    layout.weights = {
-        "residual_real": weights.u_real,
-        "residual_imag": weights.u_imag,
-        "current": weights.current,
-    }
-    total = QuboBuilder(layout.num_vars)
-    for name, group in layout.groups.items():
-        total.add_qubo(group, layout.weights[name])
-    return total.build(layout.num_vars), layout
+    layout.groups = _residual_groups(
+        network, layout, sorted(cfg.edges), lambda eid, nid, part: _voltage_form(layout, nid, part)
+    )
+    layout.weights = _residual_weights(weights)
+    return _weighted_sum(layout.groups, layout.weights, layout.num_vars), layout
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +653,7 @@ def build_n1_qubo(
         len(network.edges) - (1 if failing_edge is not None else 0)
     )
     if levels is None:
-        levels = default_levels(network, failing_edge)
+        levels = default_levels(network)
     alloc = VarAllocator()
     tree_layout = _tree_variables(network, levels, failing_edge, alloc)
     current_edges = sorted(problem_edges(network) - ({failing_edge} if failing_edge is not None else set()))
@@ -675,13 +679,7 @@ def build_n1_qubo(
     tree_layout.num_vars = num_vars
     lf_layout.num_vars = num_vars
     tree_layout.groups = _tree_groups(network, tree_layout)
-    tree_layout.weights = {
-        "domain_wall": weights.dw,
-        "root": weights.root,
-        "connectivity": weights.con,
-        "indicator": weights.ind,
-        "objective": 1.0,
-    }
+    tree_layout.weights = _tree_weights(weights)
 
     def gated_voltage(eid: int, nid: int, part: str) -> tuple[dict[int, float], float]:
         """Affine form of y_e * U_nid over (gate, z) bits."""
@@ -698,89 +696,17 @@ def build_n1_qubo(
         form[gate] = form.get(gate, 0.0) + const
         return form, 0.0
 
-    real_group = QuboBuilder(num_vars)
-    imag_group = QuboBuilder(num_vars)
-    adj: dict[int, list[int]] = {node.id: [] for node in network.nodes}
-    for eid, (a, b) in tree_layout.edge_endpoints.items():
-        adj[a].append(eid)
-        adj[b].append(eid)
-    for lst in adj.values():
-        lst.sort()
-
-    for nid in network.msr_ids:
-        node = network.node_by_id[nid]
-        y_load = admittance(node.load, node.u_nom)
-        ur_terms, ur_const = _voltage_form(lf_layout, nid, "R")
-        ui_terms, ui_const = _voltage_form(lf_layout, nid, "I")
-
-        real_form: dict[int, float] = {}
-        imag_form: dict[int, float] = {}
-        _merge_terms(real_form, ur_terms, y_load.real)
-        _merge_terms(real_form, ui_terms, -y_load.imag)
-        real_const = y_load.real * ur_const - y_load.imag * ui_const
-        _merge_terms(imag_form, ur_terms, y_load.imag)
-        _merge_terms(imag_form, ui_terms, y_load.real)
-        imag_const = y_load.imag * ur_const + y_load.real * ui_const
-
-        for eid in adj[nid]:
-            edge = network.edge_by_id[eid]
-            other = edge.m if edge.n == nid else edge.n
-            inv_z = 1.0 / edge.z
-            beta, gamma = inv_z.real, inv_z.imag
-            g_ur_n, _ = gated_voltage(eid, nid, "R")
-            g_ur_m, _ = gated_voltage(eid, other, "R")
-            g_ui_n, _ = gated_voltage(eid, nid, "I")
-            g_ui_m, _ = gated_voltage(eid, other, "I")
-            _merge_terms(real_form, g_ur_n, beta)
-            _merge_terms(real_form, g_ur_m, -beta)
-            _merge_terms(real_form, g_ui_n, -gamma)
-            _merge_terms(real_form, g_ui_m, gamma)
-            _merge_terms(imag_form, g_ur_n, gamma)
-            _merge_terms(imag_form, g_ur_m, -gamma)
-            _merge_terms(imag_form, g_ui_n, beta)
-            _merge_terms(imag_form, g_ui_m, -beta)
-
-        _add_equation(real_group, real_form, real_const)
-        _add_equation(imag_group, imag_form, imag_const)
-
-    current_group = QuboBuilder(num_vars)
-    for eid in current_edges:
-        edge = network.edge_by_id[eid]
-        inv_z = 1.0 / edge.z
-        beta, gamma = inv_z.real, inv_z.imag
-        const_i, coefs_i = lf_layout.enc_current[eid]
-        form: dict[int, float] = {b: c for b, c in zip(lf_layout.bits_current[eid], coefs_i)}
-        g_ur_n, _ = gated_voltage(eid, edge.n, "R")
-        g_ur_m, _ = gated_voltage(eid, edge.m, "R")
-        g_ui_n, _ = gated_voltage(eid, edge.n, "I")
-        g_ui_m, _ = gated_voltage(eid, edge.m, "I")
-        _merge_terms(form, g_ur_n, beta)
-        _merge_terms(form, g_ur_m, -beta)
-        _merge_terms(form, g_ui_n, -gamma)
-        _merge_terms(form, g_ui_m, gamma)
-        _add_equation(current_group, form, const_i)
-
-    lf_layout.groups = {
-        "residual_real": real_group.build(num_vars),
-        "residual_imag": imag_group.build(num_vars),
-        "current": current_group.build(num_vars),
-    }
-    lf_layout.weights = {
-        "residual_real": weights.u_real,
-        "residual_imag": weights.u_imag,
-        "current": weights.current,
-    }
+    lf_layout.groups = _residual_groups(
+        network, lf_layout, sorted(tree_layout.edge_bits), gated_voltage
+    )
+    lf_layout.weights = _residual_weights(weights)
 
     # Per-bit consistency weights: each z bit must out-penalize exactly the
     # residual energy it could shave off when misaligned, nothing more.  A
     # uniform worst-case weight (driven by the stiffest cable) would wall off
     # every edge-membership flip and strand the sampler.
     impact = _flip_impact(
-        [
-            (lf_layout.groups["residual_real"], weights.u_real),
-            (lf_layout.groups["residual_imag"], weights.u_imag),
-            (lf_layout.groups["current"], weights.current),
-        ]
+        [(group, lf_layout.weights[name]) for name, group in lf_layout.groups.items()]
     )
     aux_group = QuboBuilder(num_vars)
     for (eid, nid, part), z_bits in sorted(aux_bits.items()):
@@ -790,18 +716,8 @@ def build_n1_qubo(
             bit_weight = weights.aux if weights.aux is not None else 1.0 + impact.get(z_bit, 0.0)
             aux_group.add_qubo(pair_reduction_penalty(gate, u_bit, z_bit), bit_weight)
 
-    groups = dict(tree_layout.groups)
-    groups.update(lf_layout.groups)
-    groups["aux"] = aux_group.build(num_vars)
-
-    group_weights = dict(tree_layout.weights)
-    group_weights.update(lf_layout.weights)
-    group_weights["aux"] = 1.0
-
-    total = QuboBuilder(num_vars)
-    for name, group in groups.items():
-        total.add_qubo(group, group_weights[name])
-
+    groups = {**tree_layout.groups, **lf_layout.groups, "aux": aux_group.build(num_vars)}
+    group_weights = {**tree_layout.weights, **lf_layout.weights, "aux": 1.0}
     layout = N1QuboLayout(
         tree=tree_layout,
         loadflow=lf_layout,
@@ -811,7 +727,7 @@ def build_n1_qubo(
         groups=groups,
         weights=group_weights,
     )
-    return total.build(num_vars), layout
+    return _weighted_sum(groups, group_weights, num_vars), layout
 
 
 def _flip_impact(weighted_groups: list[tuple[Qubo, float]]) -> dict[int, float]:
@@ -853,6 +769,17 @@ class DecodedSolution:
         )
 
 
+def is_feasible(penalties: dict[str, float] | dict[str, np.ndarray]):
+    """The feasibility rule: every structural group present is at most
+    ``FEASIBILITY_TOL``.  Takes the group energies of one bitstring (floats)
+    or of a batch (one array per group) and answers in kind."""
+    verdict = True
+    for name in STRUCTURAL_GROUPS:
+        if name in penalties:
+            verdict = verdict & (penalties[name] <= FEASIBILITY_TOL)
+    return verdict
+
+
 def decode_solution(
     bits, layout: TreeVarLayout | LoadflowVarLayout | N1QuboLayout
 ) -> DecodedSolution:
@@ -874,10 +801,7 @@ def decode_solution(
 
     penalties = {name: group.evaluate(bits) for name, group in layout.groups.items()}
     aux_consistent = layout.aux_consistent(bits) if isinstance(layout, N1QuboLayout) else None
-
-    feasible = all(
-        penalties.get(name, 0.0) <= FEASIBILITY_TOL for name in STRUCTURAL_GROUPS
-    )
+    feasible = bool(is_feasible(penalties))
 
     selected = tree.decode_selected_edges(bits) if tree is not None else None
     depths = tree.decode_depths(bits) if tree is not None else None

@@ -157,9 +157,6 @@ class Switchover:
     def k(self) -> int:
         return len(self.activate)
 
-    def inverse(self) -> Switchover:
-        return Switchover(self.deactivate, self.activate)
-
     def as_dict(self) -> dict:
         return {"activate": sorted(self.activate), "deactivate": sorted(self.deactivate)}
 
@@ -205,12 +202,6 @@ class Network:
         for lst in adj.values():
             lst.sort()
         return adj
-
-    def without_edge(self, edge_id: int) -> Network:
-        """Copy without one edge; revalidates, so removing a tree edge fails."""
-        if edge_id not in self.edge_by_id:
-            raise ValueError(f"unknown edge id {edge_id}")
-        return Network(self.nodes, [e for e in self.edges if e.id != edge_id])
 
     def _check_tree(self, edge_ids: frozenset[int], what: str) -> None:
         parent = {n.id: n.id for n in self.nodes}

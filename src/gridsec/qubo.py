@@ -7,7 +7,9 @@ Conventions used throughout the package:
   coefficient table ``{(i, j): q}`` with ``i <= j`` plus a constant offset.
   The energy of a bitstring ``x`` is
 
-      E(x) = offset + sum_i Q[i,i] x_i + sum_{i<j} Q[i,j] x_i x_j .
+      E(x) = offset + sum_i Q[i,i] x_i + sum_{i<j} Q[i,j] x_i x_j ,
+
+  computed for one bitstring or a batch from the same dense matrix.
 
 * Discrete variables with option set ``{0, .., n_options-1}`` are encoded
   with ``n_options - 1`` domain-wall bits ``b_0 .. b_{n_options-2}``.  Valid
@@ -36,7 +38,6 @@ __all__ = [
     "domain_wall_level_terms",
     "domain_wall_decode",
     "pair_reduction_penalty",
-    "reduce_degree",
     "reduce_polynomial",
     "brute_force_minimize",
 ]
@@ -47,7 +48,7 @@ BRUTE_FORCE_LIMIT = 26
 class Qubo:
     """Immutable sparse QUBO: upper-triangular coefficients plus offset."""
 
-    __slots__ = ("n", "coeffs", "offset")
+    __slots__ = ("n", "coeffs", "offset", "_dense")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, int], float], offset: float = 0.0):
         if n < 0:
@@ -61,34 +62,32 @@ class Qubo:
         self.n = n
         self.coeffs = normalized
         self.offset = float(offset)
+        self._dense: np.ndarray | None = None
 
     def evaluate(self, bits: Sequence[int] | np.ndarray) -> float:
-        """Exact double-precision energy of one bitstring."""
+        """Energy of one bitstring: the one-row case of :meth:`energies`."""
         x = np.asarray(bits, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected {self.n} bits, got shape {x.shape}")
-        energy = self.offset
-        for (i, j), q in self.coeffs.items():
-            if i == j:
-                energy += q * x[i]
-            else:
-                energy += q * x[i] * x[j]
-        return float(energy)
+        return float(self.energies(x[None, :])[0])
 
     def energies(self, samples: np.ndarray) -> np.ndarray:
         """Vectorized energies for a (m, n) batch of bitstrings."""
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(f"expected shape (m, {self.n}), got {x.shape}")
-        upper = self.to_dense()
-        return ((x @ upper) * x).sum(axis=1) + self.offset
+        return ((x @ self.to_dense()) * x).sum(axis=1) + self.offset
 
     def to_dense(self) -> np.ndarray:
-        """Upper-triangular dense matrix (diagonal carries linear terms)."""
-        mat = np.zeros((self.n, self.n))
-        for (i, j), q in self.coeffs.items():
-            mat[i, j] += q
-        return mat
+        """Upper-triangular dense matrix (diagonal carries linear terms),
+        built on first use and shared read-only afterwards."""
+        if self._dense is None:
+            mat = np.zeros((self.n, self.n))
+            for (i, j), q in self.coeffs.items():
+                mat[i, j] = q
+            mat.flags.writeable = False
+            self._dense = mat
+        return self._dense
 
     def scaled(self, factor: float) -> Qubo:
         return Qubo(self.n, {k: factor * q for k, q in self.coeffs.items()}, factor * self.offset)
@@ -375,20 +374,6 @@ def pair_reduction_penalty(x: int, y: int, z: int) -> Qubo:
     builder.add(y, z, -2.0)
     builder.add_linear(z, 3.0)
     return builder.build()
-
-
-def reduce_degree(
-    term: PolyTerm, alloc: VarAllocator
-) -> tuple[list[PolyTerm], Qubo, dict[tuple[int, int], int]]:
-    """Reduce one monomial to degree <= 2 with auxiliary product variables.
-
-    Returns the quadratic terms, the unweighted auxiliary penalty and the
-    pair -> auxiliary substitution map.
-    """
-    if term.degree < 3:
-        return [term], Qubo(alloc.count, {}), {}
-    quadratic, penalty, subs = reduce_polynomial([term], alloc)
-    return quadratic, penalty, subs
 
 
 def reduce_polynomial(

@@ -164,7 +164,7 @@ class TestMatchesReference:
 
     def test_anneal_n1_default_seed_pinned(self, sevenbus):
         """The benchmark's anneal-n1 job at seed 1, as the sequential sweep gave it."""
-        qubo, _ = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
+        qubo, layout = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
         schedule = AnnealSchedule(
             seed=1, reads=50, sweeps=100, sweeps_per_beta=20, beta_range=(0.02, 5.0)
         )
@@ -175,6 +175,11 @@ class TestMatchesReference:
         )
         assert len(samples) == 50
         assert samples.first[1] == 19.055731935331835
+        # the histogram CSV as the per-sample dict-loop decoder tagged it
+        csv = energy_histogram(qubo, samples, layout).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "1fa6fb134086048eb749a9ffef6b80f9286be8075b34ed8629065b962bbc8fec"
+        )
 
 
 class TestSchedule:
@@ -323,6 +328,30 @@ class TestHistogram:
         histogram = energy_histogram(qubo, samples, layout)
         assert all(infeasible == 0 for _, infeasible in histogram.bins.values())
         assert histogram.total == 3
+
+    @pytest.mark.parametrize("case", ["anneal-n1", "triangle"])
+    def test_feasibility_agrees_with_decoder(self, sevenbus, case):
+        """Every distinct sample is tagged alike by the histogram's batched
+        pass and by decode_solution: the anneal-n1 job at seeds 1-3 (all
+        infeasible at this schedule) and the triangle tree QUBO, whose
+        samples include feasible ones."""
+        if case == "anneal-n1":
+            qubo, layout = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
+            schedule = dict(reads=50, sweeps=100, sweeps_per_beta=20, beta_range=(0.02, 5.0))
+        else:
+            qubo, layout = triangle_tree_qubo()
+            schedule = dict(reads=80, sweeps=400, sweeps_per_beta=10)
+        tags = []
+        for seed in (1, 2, 3):
+            samples = simulated_annealing(qubo, AnnealSchedule(seed=seed, **schedule))
+            samples = post_process(qubo, samples)
+            for k, (bits, _, _) in enumerate(samples):
+                single = SampleSet(samples.samples[k:k + 1], samples.energies[k:k + 1],
+                                   np.ones(1, dtype=np.int64))
+                (feasible, _), = energy_histogram(qubo, single, layout).bins.values()
+                tags.append(bool(feasible))
+                assert tags[-1] == decode_solution(bits, layout).feasible
+        assert any(tags) == (case == "triangle")
 
     def test_empty_sample_set(self):
         qubo, layout = triangle_tree_qubo()

@@ -17,6 +17,7 @@ from gridsec.datasets import load_bundled
 from gridsec.loadflow import ComplianceOracle, evaluate_configuration
 from gridsec.network import (
     Configuration,
+    Network,
     Switchover,
     apply_switchover,
     fundamental_cycles,
@@ -293,7 +294,7 @@ class TestFullCheck:
 
     def test_without_good_spare_edges_become_insecure(self, sevenbus):
         # removing the healthy spare leaves only the zero-rated one
-        crippled = sevenbus.without_edge(4)
+        crippled = Network(sevenbus.nodes, [e for e in sevenbus.edges if e.id != 4])
         report = check_n1(crippled, k_max=2)
         assert all(v.status == INSECURE for v in report.per_edge.values())
 

@@ -1,0 +1,64 @@
+"""The three routes answer the same question alike on small random grids.
+
+For every active failing edge, the classical k=1 verdict is SECURE_K1
+exactly when the Grover oracle marks some candidate, and every marked
+configuration is a zero-penalty state of the default tree QUBO whose
+energy is its switch count.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gridsec.classical import SECURE_K1, check_n1
+from gridsec.grover import SearchSpaceError, index_reconfigurations, make_oracle
+from gridsec.n1qubo import STRUCTURAL_GROUPS, build_tree_qubo, decode_solution, default_levels
+
+from conftest import make_network
+
+
+@st.composite
+def small_grids(draw):
+    """A random 4-7-node grid: a random parent per node is the active tree,
+    1-3 spare cables close loops (parallel cables allowed), and a tight
+    40 A rating on about a third of the cables makes some failures fixable
+    and others not."""
+    n = draw(st.integers(4, 7), label="nodes")
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    for _ in range(draw(st.integers(1, 3), label="spares")):
+        a = draw(st.integers(0, n - 1))
+        pairs.append((a, (a + draw(st.integers(1, n - 1))) % n))
+    i_max = {
+        eid: draw(st.sampled_from([40.0, 999.0, 999.0]), label=f"i_max {eid}")
+        for eid in range(1, len(pairs) + 1)
+    }
+    return make_network(n, pairs, set(range(1, n)), i_max=i_max)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_grids())
+def test_classical_grover_and_tree_qubo_agree(grid):
+    report = check_n1(grid, k_max=1)
+    levels = default_levels(grid)
+    for edge in sorted(grid.active_ids):
+        try:
+            space = index_reconfigurations(grid, edge, 1)
+        except SearchSpaceError:
+            marked, space = [], None
+        else:
+            marked = make_oracle(grid, space).marked_ids()
+        assert (report.per_edge[edge].status == SECURE_K1) == (len(marked) > 0)
+
+        qubo, layout = build_tree_qubo(grid, levels, failing_edge=edge)
+        for candidate in marked:
+            cfg = space.configuration(int(candidate))
+            bits = layout.encode_tree(grid, cfg, root=grid.os_ids[0])
+            decoded = decode_solution(bits, layout)
+            assert decoded.feasible and decoded.configuration == cfg
+            assert all(
+                decoded.penalties[name] == 0.0
+                for name in STRUCTURAL_GROUPS
+                if name in decoded.penalties
+            )
+            assert qubo.evaluate(bits) == len(cfg.edges ^ grid.active_ids)

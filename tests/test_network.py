@@ -189,7 +189,7 @@ class TestSwitchover:
         switch = Switchover.of([4], [2])
         moved = apply_switchover(cfg, switch)
         assert moved.edges == cfg.edges - {2} | {4}
-        assert apply_switchover(moved, switch.inverse()) == cfg
+        assert apply_switchover(moved, Switchover(switch.deactivate, switch.activate)) == cfg
 
     def test_empty_switchover_is_identity(self, sevenbus):
         cfg = sevenbus.initial_configuration()

@@ -19,13 +19,35 @@ from gridsec.qubo import (
     one_hot,
     pair_reduction_penalty,
     polynomial_to_qubo,
-    reduce_degree,
     reduce_polynomial,
 )
 
 
 def all_bitstrings(n):
     return itertools.product((0, 1), repeat=n)
+
+
+def reference_evaluate(qubo, bits):
+    """The dict-loop energy the dense path replaced: one term per key."""
+    x = np.asarray(bits, dtype=np.float64)
+    energy = qubo.offset
+    for (i, j), q in qubo.coeffs.items():
+        if i == j:
+            energy += q * x[i]
+        else:
+            energy += q * x[i] * x[j]
+    return float(energy)
+
+
+@st.composite
+def qubos_and_bits(draw):
+    n = draw(st.integers(0, 24))
+    keys = st.tuples(st.integers(0, max(0, n - 1)), st.integers(0, max(0, n - 1)))
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    coeffs = draw(st.dictionaries(keys, value, max_size=80)) if n else {}
+    qubo = Qubo(n, coeffs, offset=draw(value))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return qubo, bits
 
 
 class TestEvaluate:
@@ -53,6 +75,23 @@ class TestEvaluate:
         energies = q.energies(batch)
         for row, energy in zip(batch, energies):
             assert energy == pytest.approx(q.evaluate(row))
+
+    @settings(max_examples=200, deadline=None)
+    @given(qubos_and_bits())
+    def test_dense_energy_matches_dict_loop(self, case):
+        """Both summation orders agree to rounding of the total magnitude
+        (every coefficient and the offset)."""
+        qubo, bits = case
+        scale = 1.0 + abs(qubo.offset) + sum(abs(q) for q in qubo.coeffs.values())
+        assert abs(qubo.evaluate(bits) - reference_evaluate(qubo, bits)) <= 1e-12 * scale
+
+    def test_dense_matrix_cached_read_only(self):
+        q = Qubo(3, {(0, 0): 1.0, (2, 1): -2.0})
+        dense = q.to_dense()
+        assert q.to_dense() is dense
+        assert dense[1, 2] == -2.0 and dense[2, 1] == 0.0
+        with pytest.raises(ValueError):
+            dense[0, 0] = 5.0
 
     def test_export_round_trip(self):
         q = Qubo(3, {(0, 0): 0.1, (0, 2): -2.5, (1, 2): 1 / 3}, offset=-0.75)
@@ -145,7 +184,7 @@ class TestDegreeReduction:
     def test_single_term_reduction(self):
         alloc = VarAllocator(labels=["a", "b", "c"])
         term = PolyTerm((0, 1, 2), 2.5)
-        quadratic, penalty, subs = reduce_degree(term, alloc)
+        quadratic, penalty, subs = reduce_polynomial([term], alloc)
         assert all(t.degree <= 2 for t in quadratic)
         assert len(subs) == 1
         weight = default_reduction_weight([term])
@@ -156,6 +195,9 @@ class TestDegreeReduction:
                 for aux in all_bitstrings(alloc.count - 3)
             )
             assert best == pytest.approx(term.evaluate(bits))
+        # a term of degree below three passes through without an auxiliary bit
+        low = PolyTerm((0, 1), 1.5)
+        assert reduce_polynomial([low], alloc) == ([low], Qubo(alloc.count, {}), {})
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

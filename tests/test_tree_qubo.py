@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gridsec.classical import check_n1
 from gridsec.n1qubo import (
     PenaltyWeights,
     build_tree_qubo,
     decode_solution,
     default_levels,
 )
+from gridsec.network import Switchover, apply_switchover
 from gridsec.qubo import brute_force_minimize
 
 from conftest import make_network, rooted_height, spanning_trees
@@ -293,12 +295,28 @@ class TestTwoSupplyPoints:
 
 class TestDefaults:
     def test_default_levels_fixture(self, sevenbus):
-        assert default_levels(sevenbus) == 4  # intact graph diameter 3
-        assert default_levels(sevenbus, failing_edge=2) == 5  # node 3 moves further out
+        # |V| levels: a spanning tree of 7 nodes is at most 6 edges tall
+        assert default_levels(sevenbus) == 7
 
-    def test_default_levels_disconnected_fallback(self):
-        net = make_network(3, [(0, 1), (1, 2)], {1, 2})
-        assert default_levels(net, failing_edge=1) == 3  # bridge removal: fall back to |V|
+    def test_default_levels_floor(self):
+        assert default_levels(make_network(3, [(0, 1), (1, 2)], {1, 2})) == 3
+        assert default_levels(make_network(1, [], set())) == 2
+
+    def test_default_levels_hold_the_demo_switchover(self, demo_k1):
+        """Failing edge 2 of the demo is fixed only by on 6 / off 2, which
+        leaves a tree of height 5 in a graph of diameter 2."""
+        verdict = check_n1(demo_k1, k_max=1).per_edge[2]
+        assert verdict.witness == Switchover.of([6], [2])
+        cfg = apply_switchover(demo_k1.initial_configuration(), verdict.witness)
+        qubo, layout = build_tree_qubo(demo_k1, default_levels(demo_k1), failing_edge=2)
+        bits = layout.encode_tree(demo_k1, cfg, root=0)
+        decoded = decode_solution(bits, layout)
+        assert decoded.feasible and decoded.configuration == cfg
+        assert qubo.evaluate(bits) == 2.0
+        # three levels, the old diameter-based default, cannot hold the answer
+        _, short = build_tree_qubo(demo_k1, 3, failing_edge=2)
+        with pytest.raises(ValueError, match="height 5"):
+            short.encode_tree(demo_k1, cfg, root=0)
 
     def test_weights_validation(self):
         with pytest.raises(ValueError, match="positive"):
