@@ -6,10 +6,15 @@ nominal voltage U_nom draws the current ``U * Y`` with admittance
 nodes carry fixed voltages; MSR node voltages are the unknowns.
 
 Every configuration is a spanning tree, so the balance matrix is a tree
-Laplacian plus diagonal load admittances.  :func:`solve_tree` solves it
-exactly in O(n) by the backward/forward sweep of radial load flow
-(Shirmohammadi et al., IEEE TPWRS 1988): MSR nodes are eliminated leaf
-first toward the fixed OS nodes, then one forward pass substitutes back.
+Laplacian plus diagonal load admittances.  It is solved exactly in O(n) by
+the backward/forward sweep of radial load flow (Shirmohammadi et al., IEEE
+TPWRS 1988): MSR nodes are eliminated leaf first toward the fixed OS nodes,
+then one forward pass substitutes back.  One position-indexed sweep and one
+compliance pass serve every caller.  :func:`evaluate_configuration`, the
+path of :class:`ComplianceOracle`, keeps the unknown-id check, the tree
+check and the pivot guard but computes no residual; only :func:`solve_tree`
+adds the nodal-balance residual and a voltage dict by node id.
+
 The dense system of :func:`assemble_system` and :func:`solve_loadflow`
 (LU with a condition-number guard) stays as the reference the tree solve
 is tested against.
@@ -20,6 +25,7 @@ every active cable current stays under its rating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,32 +77,40 @@ class VoltageSolution:
 
 @dataclass(frozen=True)
 class Admittances:
-    """Per-network constants of :func:`solve_tree`, computed once.
+    """Per-network constants of the tree sweep and the compliance pass.
 
-    Nodes are numbered by their position in ``network.nodes``.  ``edges``
-    maps an edge id to ``(i, j, 1/z, |1/z|)`` over those positions; ``loads``
-    holds every node's load admittance, and ``fixed`` every OS node's
-    voltage and ``None`` for an MSR node.
+    Nodes are numbered by their position in ``network.nodes``.  ``edges`` maps
+    each edge id, in increasing order, to ``(n, m, 1/z, |1/z|, z, i_max)`` and
+    ``incident`` lists each node's ``(edge id, other end, 1/z, |1/z|)`` by edge
+    id.  ``loads``, ``fixed`` (``None`` for an MSR node) and ``bands`` hold
+    each node's load admittance, fixed voltage and ``(u_min, u_max)``.
     """
 
     node_ids: tuple[int, ...]
     root: int
-    edges: dict[int, tuple[int, int, complex, float]]
+    edges: dict[int, tuple[int, int, complex, float, complex, float]]
+    incident: tuple[tuple[tuple[int, int, complex, float], ...], ...]
     loads: tuple[complex, ...]
     fixed: tuple[complex | None, ...]
+    bands: tuple[tuple[float, float], ...]
 
     @classmethod
     def of(cls, network: Network) -> Admittances:
         node_ids = tuple(node.id for node in network.nodes)
         position = {nid: k for k, nid in enumerate(node_ids)}
         edges = {}
+        incident: list[list[tuple[int, int, complex, float]]] = [[] for _ in node_ids]
         for edge in network.edges:
+            i, j = position[edge.n], position[edge.m]
             y = 1.0 / edge.z
-            edges[edge.id] = (position[edge.n], position[edge.m], y, abs(y))
+            edges[edge.id] = (i, j, y, abs(y), edge.z, edge.i_max)
+            incident[i].append((edge.id, j, y, abs(y)))
+            incident[j].append((edge.id, i, y, abs(y)))
         return cls(
             node_ids=node_ids,
             root=position[network.os_ids[0]],
             edges=edges,
+            incident=tuple(map(tuple, incident)),
             loads=tuple(
                 0j if node.kind == OS else admittance(node.load, node.u_nom)
                 for node in network.nodes
@@ -104,6 +118,7 @@ class Admittances:
             fixed=tuple(
                 complex(node.u_nom) if node.kind == OS else None for node in network.nodes
             ),
+            bands=tuple((node.u_min, node.u_max) for node in network.nodes),
         )
 
 
@@ -194,50 +209,32 @@ def solve_loadflow(system: LinearSystem, condition_limit: float = CONDITION_LIMI
     return VoltageSolution(u=u, residual=residual)
 
 
-def solve_tree(
-    network: Network, cfg: Configuration, admittances: Admittances | None = None
-) -> VoltageSolution:
-    """Exact load flow of a spanning-tree configuration in O(n).
+def _validated(tol: float) -> float:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    return tol
 
-    A BFS from the first OS node gives parent pointers.  In reverse BFS
-    order every MSR node v, with pivot d_v and right-hand side r_v, is
-    eliminated into its parent p over their cable admittance y:
-    ``d_p -= y^2 / d_v`` and ``r_p += y r_v / d_v``.  An OS parent is not
-    eliminated into; an OS node feeds ``y U`` into its MSR parent's
-    right-hand side.  One forward pass in BFS order then sets
-    ``U_v = (r_v + y U_p) / d_v``.  The pivot is kept as ``d_v = rest_v + y``,
-    so the parent's update ``y^2 / d_v - y = -y rest_v / d_v`` never cancels,
-    even across a near-zero impedance.
 
-    Pass ``admittances`` to reuse the per-network constants across calls.
-    Raises :class:`NotSpanningTreeError` unless ``cfg`` has |V| - 1 edges
-    connecting every node, and :class:`SingularSystemError` when a pivot is
-    at most ``PIVOT_LIMIT`` times the sum of admittance magnitudes in its row.
-    The residual is the largest nodal current balance.
-    """
-    adm = admittances or Admittances.of(network)
-    edges, loads, fixed = adm.edges, adm.loads, adm.fixed
-    unknown = cfg.edges - edges.keys()
-    if unknown:
-        raise ValueError(f"unknown edge ids {sorted(unknown)}")
+def _sweep(adm: Admittances, cfg: Configuration):
+    """Backward/forward sweep: voltages by node position, with the BFS order,
+    parent positions and parent-cable admittances they were solved over."""
+    edges, incident, loads, fixed, active = adm.edges, adm.incident, adm.loads, adm.fixed, cfg.edges
+    if not edges.keys() >= active:
+        raise ValueError(f"unknown edge ids {sorted(active - edges.keys())}")
     size = len(fixed)
-    if len(cfg.edges) != size - 1:
+    if len(active) != size - 1:
         raise NotSpanningTreeError("configuration is not a spanning tree")
 
-    adjacency: list[list[tuple[int, complex, float]]] = [[] for _ in range(size)]
-    for eid in sorted(cfg.edges):
-        n, m, y, y_abs = edges[eid]
-        adjacency[n].append((m, y, y_abs))
-        adjacency[m].append((n, y, y_abs))
-    # parent position and cable admittance of every node; the root is its own parent
+    # parent position and cable admittance of every node; the root is its own
+    # parent.  Siblings are visited, and eliminated, in edge-id order.
     up_of = [-1] * size
     y_up = [0j] * size
     y_up_abs = [0.0] * size
     up_of[adm.root] = adm.root
     order = [adm.root]
     for here in order:
-        for there, y, y_abs in adjacency[here]:
-            if up_of[there] < 0:
+        for eid, there, y, y_abs in incident[here]:
+            if up_of[there] < 0 and eid in active:
                 up_of[there], y_up[there], y_up_abs[there] = here, y, y_abs
                 order.append(there)
     if len(order) != size:
@@ -271,11 +268,72 @@ def solve_tree(
             row_scale[up] += y_up_abs[v]
 
     u = list(fixed)
-    balance = [0j] * size
+    for v in order:
+        if fixed[v] is None:
+            u[v] = offset[v] + gain[v] * u[up_of[v]]
+    return u, order, up_of, y_up
+
+
+def _compliance(adm: Admittances, cfg: Configuration, u: list, tol: float) -> ComplianceReport:
+    """The one compliance pass, over voltages by node position."""
+    low, high = 1.0 - tol, 1.0 + tol
+    voltage_violations = []
+    for nid, voltage, (u_min, u_max) in zip(adm.node_ids, u, adm.bands):
+        mag = abs(voltage)
+        if mag < u_min * low:
+            voltage_violations.append((nid, mag, u_min))
+        elif mag > u_max * high:
+            voltage_violations.append((nid, mag, u_max))
+
+    active = cfg.edges
+    currents: dict[int, complex] = {}
+    current_violations = []
+    for eid, (i, j, _, _, z, i_max) in adm.edges.items():
+        if eid not in active:
+            continue
+        currents[eid] = current = (u[j] - u[i]) / z
+        # zero-rated edges get an absolute floor so float noise on a truly
+        # currentless cable does not read as a violation
+        limit = i_max * high if i_max > 0 else tol
+        if abs(current) > limit:
+            current_violations.append((eid, abs(current), i_max))
+
+    return ComplianceReport(
+        compliant=not voltage_violations and not current_violations,
+        voltage_violations=tuple(voltage_violations),
+        current_violations=tuple(current_violations),
+        currents=currents,
+    )
+
+
+def solve_tree(
+    network: Network, cfg: Configuration, admittances: Admittances | None = None
+) -> VoltageSolution:
+    """Exact load flow of a spanning-tree configuration in O(n).
+
+    A BFS from the first OS node gives parent pointers.  In reverse BFS
+    order every MSR node v, with pivot d_v and right-hand side r_v, is
+    eliminated into its parent p over their cable admittance y:
+    ``d_p -= y^2 / d_v`` and ``r_p += y r_v / d_v``.  An OS parent is not
+    eliminated into; an OS node feeds ``y U`` into its MSR parent's
+    right-hand side.  One forward pass in BFS order then sets
+    ``U_v = (r_v + y U_p) / d_v``.  The pivot is kept as ``d_v = rest_v + y``,
+    so the parent's update ``y^2 / d_v - y = -y rest_v / d_v`` never cancels,
+    even across a near-zero impedance.
+
+    Pass ``admittances`` to reuse the per-network constants across calls.
+    Raises :class:`NotSpanningTreeError` unless ``cfg`` has |V| - 1 edges
+    connecting every node, and :class:`SingularSystemError` when a pivot is
+    at most ``PIVOT_LIMIT`` times the sum of admittance magnitudes in its row.
+    The residual, the largest nodal current balance, is computed only here.
+    """
+    adm = admittances or Admittances.of(network)
+    u, order, up_of, y_up = _sweep(adm, cfg)
+    loads, fixed = adm.loads, adm.fixed
+    balance = [0j] * len(fixed)
     for v in order:
         up = up_of[v]
         if fixed[v] is None:
-            u[v] = offset[v] + gain[v] * u[up]
             balance[v] += loads[v] * u[v]
         current = y_up[v] * (u[v] - u[up])
         balance[v] += current
@@ -290,37 +348,13 @@ def check_compliance(
     solution: VoltageSolution,
     tol: float = DEFAULT_TOLERANCE,
 ) -> ComplianceReport:
-    """Inclusive bound checks with relative tolerance ``tol``.
+    """Inclusive bound checks with a finite, non-negative relative ``tol``.
 
-    Edge current is ``(U_m - U_n) / Z_nm`` for every configuration edge;
-    voltage magnitudes are checked against each node's band.
+    Edge current is ``(U_m - U_n) / Z_nm`` for every configuration edge, in
+    edge-id order; voltage magnitudes are checked against each node's band.
     """
-    voltage_violations = []
-    for node in network.nodes:
-        mag = abs(solution.u[node.id])
-        if mag < node.u_min * (1.0 - tol):
-            voltage_violations.append((node.id, mag, node.u_min))
-        elif mag > node.u_max * (1.0 + tol):
-            voltage_violations.append((node.id, mag, node.u_max))
-
-    currents: dict[int, complex] = {}
-    current_violations = []
-    for eid in sorted(cfg.edges):
-        edge = network.edge_by_id[eid]
-        current = (solution.u[edge.m] - solution.u[edge.n]) / edge.z
-        currents[eid] = current
-        # zero-rated edges get an absolute floor so float noise on a truly
-        # currentless cable does not read as a violation
-        limit = edge.i_max * (1.0 + tol) if edge.i_max > 0 else tol
-        if abs(current) > limit:
-            current_violations.append((eid, abs(current), edge.i_max))
-
-    return ComplianceReport(
-        compliant=not voltage_violations and not current_violations,
-        voltage_violations=tuple(voltage_violations),
-        current_violations=tuple(current_violations),
-        currents=currents,
-    )
+    adm = Admittances.of(network)
+    return _compliance(adm, cfg, [solution.u[nid] for nid in adm.node_ids], _validated(tol))
 
 
 def evaluate_configuration(
@@ -329,9 +363,10 @@ def evaluate_configuration(
     tol: float = DEFAULT_TOLERANCE,
     admittances: Admittances | None = None,
 ) -> ComplianceReport:
-    """Solve and check one configuration end to end."""
-    solution = solve_tree(network, cfg, admittances)
-    return check_compliance(network, cfg, solution, tol)
+    """``check_compliance(network, cfg, solve_tree(network, cfg), tol)``, with
+    the same errors, minus the residual and the voltage dict."""
+    adm = admittances or Admittances.of(network)
+    return _compliance(adm, cfg, _sweep(adm, cfg)[0], _validated(tol))
 
 
 def problem_edges(network: Network) -> frozenset[int]:
@@ -363,12 +398,13 @@ class ComplianceOracle:
     query unit compared against the amplitude-amplification search.  A
     configuration that is not a spanning tree, or whose system is singular,
     is reported non-compliant; any other error (an unknown edge id, say)
-    propagates.
+    propagates.  A ``tol`` that is not finite and non-negative raises
+    ``ValueError`` here.
     """
 
     def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
         self.network = network
-        self.tol = tol
+        self.tol = _validated(tol)
         self.calls = 0
         self.admittances = Admittances.of(network)
 
@@ -377,9 +413,4 @@ class ComplianceOracle:
         try:
             return evaluate_configuration(self.network, cfg, self.tol, self.admittances)
         except (NotSpanningTreeError, SingularSystemError):
-            return ComplianceReport(
-                compliant=False,
-                voltage_violations=(),
-                current_violations=(),
-                currents={},
-            )
+            return ComplianceReport(False, (), (), {})

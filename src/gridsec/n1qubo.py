@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .loadflow import admittance, problem_edges, solve_tree
+from .loadflow import admittance, check_compliance, problem_edges, solve_tree
 from .network import Configuration, Network
 from .qubo import (
     Qubo,
@@ -839,12 +839,13 @@ def rounded_reference_bits(layout: LoadflowVarLayout, network: Network) -> np.nd
     """Nearest-grid encoding of the continuous load-flow solution.
 
     Only defined for fixed-configuration layouts; voltages come from the
-    exact tree solve and currents from the solved branch flows, each
-    rounded independently onto its grid (currents clipped into their range).
+    exact tree solve and currents from its compliance check, each rounded
+    independently onto its grid (currents clipped into their range).
     """
     if layout.cfg is None:
         raise ValueError("reference rounding needs a fixed-configuration layout")
     solution = solve_tree(network, layout.cfg)
+    flows = check_compliance(network, layout.cfg, solution).currents
     bits = np.zeros(layout.num_vars, dtype=np.uint8)
     for nid, var_bits in layout.bits_real.items():
         const, coefs = layout.enc_real[nid]
@@ -854,10 +855,8 @@ def rounded_reference_bits(layout: LoadflowVarLayout, network: Network) -> np.nd
         for b, v in zip(layout.bits_imag[nid], _round_onto(solution.u[nid].imag, const_i, coefs_i)):
             bits[b] = v
     for eid, var_bits in layout.bits_current.items():
-        edge = network.edge_by_id[eid]
-        flow = (solution.u[edge.m] - solution.u[edge.n]) / edge.z
         const, coefs = layout.enc_current[eid]
-        for b, v in zip(var_bits, _round_onto(flow.real, const, coefs)):
+        for b, v in zip(var_bits, _round_onto(flows[eid].real, const, coefs)):
             bits[b] = v
     return bits
 

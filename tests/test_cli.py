@@ -164,6 +164,13 @@ class TestLoadflow:
         assert code == 1
         assert err.startswith("error: pivot") and err.count("\n") == 1
 
+    def test_bad_tolerance_is_input_error(self, capsys):
+        for tol in ("-1", "nan", "inf"):
+            code, out, err = run(capsys, "loadflow", "--network", SEVENBUS, "--tol", tol)
+            assert code == 1, tol
+            assert out == ""
+            assert err.startswith("error: tol must be finite and non-negative") and err.count("\n") == 1
+
 
 class TestQubo:
     def test_export_round_trips(self, capsys, tmp_path):

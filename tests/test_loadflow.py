@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsec.classical import check_n1
 from gridsec.loadflow import (
     Admittances,
     ComplianceOracle,
+    ComplianceReport,
     SingularSystemError,
     LinearSystem,
     admittance,
@@ -351,6 +353,97 @@ class TestTreeSolve:
         assert ours.compliant == theirs.compliant
         assert [v[0] for v in ours.voltage_violations] == [v[0] for v in theirs.voltage_violations]
         assert [v[0] for v in ours.current_violations] == [v[0] for v in theirs.current_violations]
+
+
+def outcome(call):
+    """The report a call returns, or the type and message of its error."""
+    try:
+        report = call()
+    except (ValueError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+    return report, list(report.currents.items())
+
+
+def cancel_a_leaf(network, cfg, draw):
+    """The grid with one MSR leaf's load set to cancel its only cable, so
+    the sweep meets a zero pivot there; unchanged if no MSR leaf exists."""
+    degree = {node.id: 0 for node in network.nodes}
+    for eid in cfg.edges:
+        edge = network.edge_by_id[eid]
+        degree[edge.n] += 1
+        degree[edge.m] += 1
+    leaves = [nid for nid in network.msr_ids if degree[nid] == 1]
+    if not leaves:
+        return network
+    leaf = draw(st.sampled_from(leaves), label="cancelled leaf")
+    (cable,) = (
+        network.edge_by_id[e] for e in cfg.edges if leaf in network.edge_by_id[e].endpoints
+    )
+    node = network.node_by_id[leaf]
+    load = (-1.0 / cable.z).conjugate() * node.u_nom**2
+    nodes = [Node(n.id, n.kind, n.u_nom, load, n.u_min, n.u_max) if n.id == leaf else n
+             for n in network.nodes]
+    return Network(nodes, network.edges)
+
+
+class TestOraclePath:
+    """``evaluate_configuration``, the oracle's path, against ``solve_tree``
+    followed by ``check_compliance``: equal reports, currents in the same
+    order, and the same errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        random_grids(),
+        st.sampled_from(["tree", "swap", "missing", "unknown", "singular"]),
+        st.data(),
+    )
+    def test_oracle_report_equals_solve_then_check(self, grid, variant, data):
+        network, cfg = grid
+        if variant == "swap":  # a random cable in, a random tree cable out: a tree or not
+            spare = sorted(e.id for e in network.edges if e.id not in cfg.edges)
+            if spare:
+                dropped = data.draw(st.sampled_from(sorted(cfg.edges)), label="dropped")
+                cfg = Configuration(cfg.edges - {dropped} | {data.draw(st.sampled_from(spare))})
+        elif variant == "missing":
+            cfg = Configuration(cfg.edges - {min(cfg.edges)})
+        elif variant == "unknown":
+            cfg = Configuration(cfg.edges - {min(cfg.edges)} | {len(network.edges) + 1})
+        elif variant == "singular":
+            network = cancel_a_leaf(network, cfg, data.draw)
+        oracle = ComplianceOracle(network)
+        expected = outcome(lambda: check_compliance(network, cfg, solve_tree(network, cfg)))
+        assert outcome(lambda: evaluate_configuration(network, cfg)) == expected
+        assert outcome(lambda: oracle.check(cfg)) == (
+            outcome(lambda: ComplianceReport(False, (), (), {}))
+            if expected[0] in (NotSpanningTreeError, SingularSystemError)
+            else expected
+        )
+
+    @pytest.mark.parametrize("detune", [0.0, 1e-14, 1e-9])
+    def test_pivot_guard_on_the_oracle_path(self, detune):
+        net = singular_leaf_network(detune)
+        cfg = net.initial_configuration()
+        expected = outcome(lambda: check_compliance(net, cfg, solve_tree(net, cfg)))
+        assert outcome(lambda: evaluate_configuration(net, cfg)) == expected
+        assert (expected[0] is SingularSystemError) == (detune < 1e-12)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_bad_tolerance_rejected(self, sevenbus, tol):
+        cfg = sevenbus.initial_configuration()
+        solution = solve_tree(sevenbus, cfg)
+        for call in (
+            lambda: ComplianceOracle(sevenbus, tol),
+            lambda: check_compliance(sevenbus, cfg, solution, tol),
+            lambda: evaluate_configuration(sevenbus, cfg, tol),
+            lambda: check_n1(sevenbus, 1, tol),
+        ):
+            with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+                call()
+
+    def test_zero_tolerance_accepted(self, sevenbus):
+        assert ComplianceOracle(sevenbus, 0.0).check(sevenbus.initial_configuration()).compliant
 
 
 class TestCompliance:
