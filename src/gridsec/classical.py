@@ -1,10 +1,12 @@
 """Classical N-1 search: enumerate k-switchover spanning trees through the
-fundamental-cycle table, validate them with the load-flow checker, and
-assemble a per-edge security verdict.
+fundamental-cycle table, validate them with the load-flow oracle's
+verdict (:meth:`ComplianceOracle.passes`, which re-solves only the feeder
+branches a switchover touches), and assemble a per-edge security verdict.
 
 Step 1 covers every active edge that a single switchover can fix.  Step 2
 sweeps the leftovers with growing k; a passing multi-switch tree witnesses
 every edge it deactivates, so one load-flow call can clear several edges.
+Both steps map each witnessed edge to its switchover.
 
 The enumeration never runs a connectivity check.  For a tree T, inactive
 edges A = (a_1..a_k) and tree edges D = (d_1..d_k) with d_j in C(a_j), the
@@ -24,7 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .loadflow import ComplianceOracle, ComplianceReport
+from .loadflow import ComplianceOracle
 from .network import Configuration, Network, Switchover, fundamental_cycles
 from .network import is_spanning_tree  # noqa: F401  (benchmarks/selftest.py checks this name is restored after tracing)
 
@@ -132,7 +134,7 @@ def _exchange_is_tree(rows: list[frozenset[int]], choice: tuple[int, ...]) -> bo
 
 def step1_single_switch(
     network: Network, oracle: ComplianceOracle | None = None
-) -> dict[int, tuple[Switchover, ComplianceReport]]:
+) -> dict[int, Switchover]:
     """First passing single-switchover witness per active edge.
 
     Every enumerated candidate is load-flow checked (the call count is the
@@ -141,14 +143,13 @@ def step1_single_switch(
     """
     oracle = oracle or ComplianceOracle(network)
     base = network.initial_configuration()
-    witnesses: dict[int, tuple[Switchover, ComplianceReport]] = {}
+    witnesses: dict[int, Switchover] = {}
     if not network.inactive_ids:
         return witnesses
     for switch, candidate in enumerate_reconfigurations(network, base, 1):
         (failing_edge,) = switch.deactivate
-        report = oracle.check(candidate)
-        if report.compliant and failing_edge not in witnesses:
-            witnesses[failing_edge] = (switch, report)
+        if oracle.passes(candidate) and failing_edge not in witnesses:
+            witnesses[failing_edge] = switch
     return witnesses
 
 
@@ -157,7 +158,7 @@ def step2_multi_switch(
     remaining: frozenset[int],
     k: int,
     oracle: ComplianceOracle | None = None,
-) -> dict[int, tuple[Switchover, ComplianceReport]]:
+) -> dict[int, Switchover]:
     """Multi-switchover sweep over the edges step 1 could not clear.
 
     A passing reconfiguration witnesses every edge it deactivates, and
@@ -168,7 +169,7 @@ def step2_multi_switch(
     if not remaining <= network.active_ids:
         raise ValueError("remaining edges must be active edges")
     oracle = oracle or ComplianceOracle(network)
-    witnesses: dict[int, tuple[Switchover, ComplianceReport]] = {}
+    witnesses: dict[int, Switchover] = {}
     if not remaining:
         return witnesses
     base = network.initial_configuration()
@@ -181,10 +182,9 @@ def step2_multi_switch(
         for switch, candidate in candidates:
             if failing_edge not in switch.deactivate:
                 continue
-            report = oracle.check(candidate)
-            if report.compliant:
+            if oracle.passes(candidate):
                 for covered in sorted(switch.deactivate):
-                    witnesses.setdefault(covered, (switch, report))
+                    witnesses.setdefault(covered, switch)
                 break
     return witnesses
 
@@ -230,13 +230,13 @@ def check_n1(network: Network, k_max: int, tol: float = 1e-9) -> N1Report:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     oracle = ComplianceOracle(network, tol)
     witnessed: dict[int, tuple[int, Switchover]] = {}
-    for eid, (switch, _) in step1_single_switch(network, oracle).items():
+    for eid, switch in step1_single_switch(network, oracle).items():
         witnessed[eid] = (1, switch)
     for k in range(2, k_max + 1):
         remaining = network.active_ids - set(witnessed)
         if not remaining:
             break
-        for eid, (switch, _) in step2_multi_switch(network, frozenset(remaining), k, oracle).items():
+        for eid, switch in step2_multi_switch(network, frozenset(remaining), k, oracle).items():
             witnessed.setdefault(eid, (k, switch))
 
     per_edge: dict[int, EdgeVerdict] = {}

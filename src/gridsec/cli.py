@@ -39,12 +39,21 @@ def _load(path: str) -> net.Network:
 
 
 def _seed_from(args) -> int:
+    """The ``--seed`` value, else ``GRIDSEC_SEED``: an integer in [0, 2**128),
+    the key range of the Philox generator every stochastic command seeds."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GRIDSEC_SEED")
-    if env is not None:
-        return int(env)
-    raise ValueError("stochastic command needs --seed or GRIDSEC_SEED")
+        seed, source = args.seed, "--seed"
+    elif (env := os.environ.get("GRIDSEC_SEED")) is not None:
+        source = "GRIDSEC_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+    else:
+        raise ValueError("stochastic command needs --seed or GRIDSEC_SEED")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"{source} must lie in [0, 2**128), got {seed}")
+    return seed
 
 
 def _weights_from(args) -> n1qubo.PenaltyWeights:

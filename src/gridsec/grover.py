@@ -55,31 +55,37 @@ class SearchFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Dense id <-> switchover table for one failing edge."""
+    """Dense id <-> switchover table for one failing edge.  A synthetic space
+    holds no table: each of its ``size`` ids maps to the empty switchover."""
 
     switchovers: tuple[Switchover, ...]
     configurations: tuple[Configuration, ...]
     failing_edge: int | None
     k: int
-
-    @property
-    def size(self) -> int:
-        return len(self.switchovers)
+    size: int
 
     def switchover(self, candidate_id: int) -> Switchover:
-        return self.switchovers[candidate_id]
+        if self.switchovers:
+            return self.switchovers[candidate_id]
+        range(self.size)[candidate_id]  # the table's IndexError
+        return _NO_SWITCHOVER
 
     def configuration(self, candidate_id: int) -> Configuration:
-        return self.configurations[candidate_id]
+        if self.configurations:
+            return self.configurations[candidate_id]
+        range(self.size)[candidate_id]
+        return _NO_CONFIGURATION
 
     @classmethod
     def synthetic(cls, size: int) -> SearchSpace:
         """Index-only space for query-complexity benchmarks."""
         if size < 1:
             raise SearchSpaceError("synthetic space needs size >= 1")
-        empty = Switchover(frozenset(), frozenset())
-        blank = Configuration(frozenset())
-        return cls((empty,) * size, (blank,) * size, failing_edge=None, k=0)
+        return cls((), (), failing_edge=None, k=0, size=size)
+
+
+_NO_SWITCHOVER = Switchover(frozenset(), frozenset())
+_NO_CONFIGURATION = Configuration(frozenset())
 
 
 def index_reconfigurations(network: Network, failing_edge: int, k: int) -> SearchSpace:
@@ -100,6 +106,7 @@ def index_reconfigurations(network: Network, failing_edge: int, k: int) -> Searc
         configurations=tuple(configurations),
         failing_edge=failing_edge,
         k=k,
+        size=len(switchovers),
     )
 
 
@@ -145,8 +152,7 @@ def make_oracle(network: Network, space: SearchSpace, tol: float = 1e-9) -> Orac
     checker = ComplianceOracle(network, tol)
 
     def predicate(candidate_id: int) -> bool:
-        cfg = space.configuration(candidate_id)
-        return checker.check(cfg).compliant
+        return checker.passes(space.configuration(candidate_id))
 
     return Oracle(predicate, space.size)
 

@@ -10,10 +10,17 @@ Laplacian plus diagonal load admittances.  It is solved exactly in O(n) by
 the backward/forward sweep of radial load flow (Shirmohammadi et al., IEEE
 TPWRS 1988): MSR nodes are eliminated leaf first toward the fixed OS nodes,
 then one forward pass substitutes back.  One position-indexed sweep and one
-compliance pass serve every caller.  :func:`evaluate_configuration`, the
-path of :class:`ComplianceOracle`, keeps the unknown-id check, the tree
-check and the pivot guard but computes no residual; only :func:`solve_tree`
-adds the nodal-balance residual and a voltage dict by node id.
+bounds rule serve every caller.  :func:`evaluate_configuration` builds the
+full report with the unknown-id check, the tree check and the pivot guard
+but no residual; only :func:`solve_tree` adds the nodal-balance residual and
+a voltage dict by node id.
+
+:class:`ComplianceOracle` answers the verdict alone.  A switchover leaves
+every branch of the base tree (a subtree under one child of the root) that
+holds no endpoint of a switched cable with its base flows, as in the
+branch-exchange analyses of Civanlar et al. (IEEE TPWRD 1988) and Baran &
+Wu (IEEE TPWRD 1989), so the oracle keeps those branches' base verdicts,
+re-solves the touched branches only and stops at the first violation.
 
 The dense system of :func:`assemble_system` and :func:`solve_loadflow`
 (LU with a condition-number guard) stays as the reference the tree solve
@@ -215,19 +222,42 @@ def _validated(tol: float) -> float:
     return tol
 
 
-def _sweep(adm: Admittances, cfg: Configuration):
-    """Backward/forward sweep: voltages by node position, with the BFS order,
-    parent positions and parent-cable admittances they were solved over."""
-    edges, incident, loads, fixed, active = adm.edges, adm.incident, adm.loads, adm.fixed, cfg.edges
-    if not edges.keys() >= active:
-        raise ValueError(f"unknown edge ids {sorted(active - edges.keys())}")
-    size = len(fixed)
+def _limits(adm: Admittances, tol: float) -> tuple[list[tuple[float, float]], dict[int, float]]:
+    """The one bounds rule: node position v violates outside ``volts[v]``
+    and cable ``eid`` above ``amps[eid]``.  A zero-rated cable gets the
+    absolute floor ``tol`` so float noise on a truly currentless cable does
+    not read as a violation."""
+    low, high = 1.0 - tol, 1.0 + tol
+    volts = [(u_min * low, u_max * high) for u_min, u_max in adm.bands]
+    amps = {eid: i_max * high if i_max > 0 else tol for eid, (*_, i_max) in adm.edges.items()}
+    return volts, amps
+
+
+def _require_known(adm: Admittances, edge_ids: frozenset[int]) -> None:
+    if not adm.edges.keys() >= edge_ids:
+        raise ValueError(f"unknown edge ids {sorted(edge_ids - adm.edges.keys())}")
+
+
+def _tree(adm: Admittances, active: frozenset[int], nodes: frozenset[int] | None = None):
+    """BFS from the root: the order, and each reached node's parent, parent
+    cable id, admittance and its magnitude; the root is its own parent and
+    siblings come in edge-id order.  Edge ids must be known.  With
+    ``nodes``, non-root positions that no cable of ``active`` joins to other
+    non-root positions, only the root and ``nodes`` are visited and
+    tree-checked."""
+    incident = adm.incident
+    size = len(incident)
     if len(active) != size - 1:
         raise NotSpanningTreeError("configuration is not a spanning tree")
-
-    # parent position and cable admittance of every node; the root is its own
-    # parent.  Siblings are visited, and eliminated, in edge-id order.
-    up_of = [-1] * size
+    if nodes is None:
+        up_of = [-1] * size
+        reached = size
+    else:  # a node left out counts as visited
+        up_of = [size] * size
+        for v in nodes:
+            up_of[v] = -1
+        reached = len(nodes) + 1
+    up_edge = [-1] * size
     y_up = [0j] * size
     y_up_abs = [0.0] * size
     up_of[adm.root] = adm.root
@@ -235,10 +265,19 @@ def _sweep(adm: Admittances, cfg: Configuration):
     for here in order:
         for eid, there, y, y_abs in incident[here]:
             if up_of[there] < 0 and eid in active:
-                up_of[there], y_up[there], y_up_abs[there] = here, y, y_abs
+                up_of[there], up_edge[there], y_up[there], y_up_abs[there] = here, eid, y, y_abs
                 order.append(there)
-    if len(order) != size:
+    if len(order) != reached:
         raise NotSpanningTreeError("configuration is not a spanning tree")
+    return order, up_of, up_edge, y_up, y_up_abs
+
+
+def _sweep(adm: Admittances, cfg: Configuration, nodes: frozenset[int] | None = None):
+    """Backward/forward sweep over :func:`_tree`'s order: voltages by node
+    position, with the order, parents, parent-cable ids and admittances."""
+    order, up_of, up_edge, y_up, y_up_abs = _tree(adm, cfg.edges, nodes)
+    loads, fixed = adm.loads, adm.fixed
+    size = len(fixed)
 
     # after elimination U_v = offset[v] + gain[v] * U_parent
     rest = list(loads)
@@ -271,18 +310,18 @@ def _sweep(adm: Admittances, cfg: Configuration):
     for v in order:
         if fixed[v] is None:
             u[v] = offset[v] + gain[v] * u[up_of[v]]
-    return u, order, up_of, y_up
+    return u, order, up_of, up_edge, y_up
 
 
 def _compliance(adm: Admittances, cfg: Configuration, u: list, tol: float) -> ComplianceReport:
-    """The one compliance pass, over voltages by node position."""
-    low, high = 1.0 - tol, 1.0 + tol
+    """The full compliance report over voltages by node position."""
+    volts, amps = _limits(adm, tol)
     voltage_violations = []
-    for nid, voltage, (u_min, u_max) in zip(adm.node_ids, u, adm.bands):
+    for nid, voltage, (u_min, u_max), (low, high) in zip(adm.node_ids, u, adm.bands, volts):
         mag = abs(voltage)
-        if mag < u_min * low:
+        if mag < low:
             voltage_violations.append((nid, mag, u_min))
-        elif mag > u_max * high:
+        elif mag > high:
             voltage_violations.append((nid, mag, u_max))
 
     active = cfg.edges
@@ -292,10 +331,7 @@ def _compliance(adm: Admittances, cfg: Configuration, u: list, tol: float) -> Co
         if eid not in active:
             continue
         currents[eid] = current = (u[j] - u[i]) / z
-        # zero-rated edges get an absolute floor so float noise on a truly
-        # currentless cable does not read as a violation
-        limit = i_max * high if i_max > 0 else tol
-        if abs(current) > limit:
+        if abs(current) > amps[eid]:
             current_violations.append((eid, abs(current), i_max))
 
     return ComplianceReport(
@@ -328,7 +364,8 @@ def solve_tree(
     The residual, the largest nodal current balance, is computed only here.
     """
     adm = admittances or Admittances.of(network)
-    u, order, up_of, y_up = _sweep(adm, cfg)
+    _require_known(adm, cfg.edges)
+    u, order, up_of, _, y_up = _sweep(adm, cfg)
     loads, fixed = adm.loads, adm.fixed
     balance = [0j] * len(fixed)
     for v in order:
@@ -366,6 +403,7 @@ def evaluate_configuration(
     """``check_compliance(network, cfg, solve_tree(network, cfg), tol)``, with
     the same errors, minus the residual and the voltage dict."""
     adm = admittances or Admittances.of(network)
+    _require_known(adm, cfg.edges)
     return _compliance(adm, cfg, _sweep(adm, cfg)[0], _validated(tol))
 
 
@@ -392,25 +430,75 @@ def problem_edges(network: Network) -> frozenset[int]:
 
 
 class ComplianceOracle:
-    """Load-flow check with call accounting.
+    """Compliance verdicts with call accounting.
 
-    Counts one call per configuration evaluated; the count is the classical
+    Counts one call per configuration queried; the count is the classical
     query unit compared against the amplitude-amplification search.  A
     configuration that is not a spanning tree, or whose system is singular,
-    is reported non-compliant; any other error (an unknown edge id, say)
-    propagates.  A ``tol`` that is not finite and non-negative raises
-    ``ValueError`` here.
+    is non-compliant; an unknown edge id raises ``ValueError``, and so does
+    a ``tol`` that is not finite and non-negative.
+
+    A branch is the base tree's subtree under one child of the root.  The
+    sweep solves it from its own cables and the fixed root voltage alone, so
+    a branch with no endpoint of a switched cable keeps the verdict solved
+    here once (False on a pivot failure).
     """
 
     def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
         self.network = network
         self.tol = _validated(tol)
         self.calls = 0
-        self.admittances = Admittances.of(network)
+        self.admittances = adm = Admittances.of(network)
+        self._limits = _limits(adm, self.tol)
+        base = network.initial_configuration()
+        self._base = base.edges
 
-    def check(self, cfg: Configuration) -> ComplianceReport:
+        # branch of every node position, -1 for the root
+        order, up_of = _tree(adm, base.edges)[:2]
+        self._branch_of = branch_of = [-1] * len(order)
+        members: list[list[int]] = []
+        for v in order[1:]:
+            if up_of[v] == adm.root:
+                branch_of[v] = len(members)
+                members.append([])
+            else:
+                branch_of[v] = branch_of[up_of[v]]
+            members[branch_of[v]].append(v)
+        self._members = tuple(map(frozenset, members))
+        self._failing = frozenset(
+            b for b, nodes in enumerate(self._members) if not self._verdict(base, nodes)
+        )
+
+    def passes(self, cfg: Configuration) -> bool:
+        """Whether ``cfg`` is compliant, re-solving only the branches it touches."""
         self.calls += 1
+        edges = self.admittances.edges
+        switched = cfg.edges ^ self._base
+        _require_known(self.admittances, switched)
+        branch_of = self._branch_of
+        touched = {branch_of[v] for eid in switched for v in edges[eid][:2]}
+        touched.discard(-1)
+        if not self._failing <= touched:
+            return False
+        return self._verdict(cfg, frozenset().union(*map(self._members.__getitem__, touched)))
+
+    def _verdict(self, cfg: Configuration, nodes: frozenset[int]) -> bool:
+        """Bounds on the root, ``nodes`` and their parent cables under ``cfg``."""
+        adm = self.admittances
         try:
-            return evaluate_configuration(self.network, cfg, self.tol, self.admittances)
+            u, order, _, up_edge, _ = _sweep(adm, cfg, nodes)
         except (NotSpanningTreeError, SingularSystemError):
-            return ComplianceReport(False, (), (), {})
+            return False
+        volts, amps = self._limits
+        for v in order:
+            low, high = volts[v]
+            mag = abs(u[v])
+            if mag < low or mag > high:
+                return False
+        edges = adm.edges
+        for v in order[1:]:
+            eid = up_edge[v]
+            i, j, _, _, z, _ = edges[eid]
+            if abs((u[j] - u[i]) / z) > amps[eid]:
+                return False
+        return True

@@ -89,7 +89,7 @@ def test_criterion_1_classical_end_to_end(sevenbus):
     assert compliance.compliant
 
     witnesses = step1_single_switch(sevenbus)
-    assert witnesses[2][0] == switch
+    assert witnesses[2] == switch
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

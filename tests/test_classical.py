@@ -189,9 +189,10 @@ class TestStepOne:
     def test_fixture_witnesses(self, sevenbus):
         witnesses = step1_single_switch(sevenbus)
         assert sorted(witnesses) == [2, 3, 7, 8]
-        for failing, (switch, report) in witnesses.items():
+        cfg = sevenbus.initial_configuration()
+        for failing, switch in witnesses.items():
             assert failing in switch.deactivate
-            assert report.compliant
+            assert evaluate_configuration(sevenbus, apply_switchover(cfg, switch)).compliant
             # all viable single-switch fixes route through the {3,6} spare,
             # since the {4,6} spare is rated at zero amps
             assert switch.activate == frozenset({4})
@@ -213,7 +214,7 @@ class TestStepOne:
 
     def test_witness_applies_cleanly(self, sevenbus):
         cfg = sevenbus.initial_configuration()
-        for switch, _ in step1_single_switch(sevenbus).values():
+        for switch in step1_single_switch(sevenbus).values():
             candidate = apply_switchover(cfg, switch)
             assert is_spanning_tree(sevenbus, candidate)
             assert evaluate_configuration(sevenbus, candidate).compliant
@@ -236,10 +237,10 @@ class TestStepTwo:
         net = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], {1, 2, 3})
         witnesses = step2_multi_switch(net, frozenset({1, 2}), 2)
         assert set(witnesses) >= {1, 2}
-        for eid, (switch, _) in witnesses.items():
+        for eid, switch in witnesses.items():
             assert eid in switch.deactivate
         # the first passing double switchover clears both queried edges at once
-        deactivation_sets = {tuple(sorted(s.deactivate)) for s, _ in witnesses.values()}
+        deactivation_sets = {tuple(sorted(s.deactivate)) for s in witnesses.values()}
         assert len(deactivation_sets) < len(witnesses)
 
     def test_matches_brute_force_for_stubborn_edge(self, sevenbus):

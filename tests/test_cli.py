@@ -236,6 +236,17 @@ class TestAnneal:
         assert code == 0
         assert "seed: 77" in out
 
+    def test_bad_seed_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("GRIDSEC_SEED", raising=False)
+        for seed in ("-1", str(2**128)):
+            code, out, err = run(capsys, *self.ARGS, "--seed", seed)
+            assert (code, out) == (1, "")
+            assert err == f"error: --seed must lie in [0, 2**128), got {seed}\n"
+        monkeypatch.setenv("GRIDSEC_SEED", "abc")
+        code, out, err = run(capsys, *self.ARGS)
+        assert (code, out) == (1, "")
+        assert err == "error: GRIDSEC_SEED must be an integer, got 'abc'\n"
+
     def test_json_summary(self, capsys, monkeypatch):
         monkeypatch.delenv("GRIDSEC_SEED", raising=False)
         code, out, _ = run(capsys, *self.ARGS, "--seed", "5", "--format", "json")
@@ -300,6 +311,22 @@ class TestGrover:
         rows = dist.read_text().strip().splitlines()
         assert rows[0] == "id,probability,switchover_json"
         assert len(rows) == 5
+
+    def test_bad_seed_is_input_error(self, capsys, monkeypatch):
+        argv = ["grover", "--network", DEMO_K1, "--failing-edge", "2"]
+        monkeypatch.delenv("GRIDSEC_SEED", raising=False)
+        for seed in ("-1", str(2**128)):
+            code, out, err = run(capsys, *argv, "--seed", seed)
+            assert (code, out) == (1, "")
+            assert err == f"error: --seed must lie in [0, 2**128), got {seed}\n"
+        for env in ("abc", "-1"):
+            monkeypatch.setenv("GRIDSEC_SEED", env)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and err.startswith("error: GRIDSEC_SEED must")
+        code, out, _ = run(capsys, *argv, "--seed", str(2**128 - 1))
+        assert code == 0
+        assert out.splitlines()[0] == f"seed: {2**128 - 1}"
 
     def test_zero_iterations(self, capsys):
         code, out, _ = run(

@@ -2,9 +2,11 @@
 
 ``tests/data/compliance_digests.json`` holds, for every k <= 2
 reconfiguration of the three bundled networks and of a 4 x 25 feeder grid
-built below, the sha256 of the ``repr`` of every ``ComplianceReport`` the
-oracle returns and of every ``solve_tree`` solution, plus the ``check_n1``
-report of each network.  Every number is hashed as its IEEE double, in
+built below, the sha256 of every ``evaluate_configuration`` report (a
+configuration that is not a tree, or is singular, hashed as an empty
+non-compliant report) and of every ``solve_tree`` solution, plus the
+``check_n1`` report of each network.  The oracle's verdict on every
+candidate must equal its report's.  Every number is hashed as its IEEE double, in
 dict order, so any change to a voltage, a current, a violation tuple or the
 residual shows up here, down to the last bit.  To re-capture after a deliberate change,
 run this file as a script with the sources on ``PYTHONPATH``; it prints the
@@ -24,8 +26,15 @@ import pytest
 
 from gridsec.classical import check_n1, enumerate_reconfigurations
 from gridsec.datasets import bundled_names, load_bundled
-from gridsec.loadflow import ComplianceOracle, ComplianceReport, VoltageSolution, solve_tree
-from gridsec.network import Edge, Network, Node
+from gridsec.loadflow import (
+    ComplianceOracle,
+    ComplianceReport,
+    SingularSystemError,
+    VoltageSolution,
+    evaluate_configuration,
+    solve_tree,
+)
+from gridsec.network import Edge, Network, Node, NotSpanningTreeError
 
 DIGESTS = Path(__file__).parent / "data" / "compliance_digests.json"
 
@@ -86,7 +95,16 @@ def solution_bytes(solution: VoltageSolution) -> bytes:
     )
 
 
+def reference_report(net: Network, cfg, oracle: ComplianceOracle) -> ComplianceReport:
+    try:
+        return evaluate_configuration(net, cfg, oracle.tol, oracle.admittances)
+    except (NotSpanningTreeError, SingularSystemError):
+        return ComplianceReport(False, (), (), {})
+
+
 def current_digests() -> dict[str, dict]:
+    """Digests as in the module docstring; raises AssertionError where the
+    oracle's verdict differs from the report's."""
     digests = {}
     for name, net in networks().items():
         oracle = ComplianceOracle(net)
@@ -94,7 +112,9 @@ def current_digests() -> dict[str, dict]:
             reports, solutions = hashlib.sha256(), hashlib.sha256()
             listing = enumerate_reconfigurations(net, net.initial_configuration(), k)
             for _, cfg in listing:
-                reports.update(report_bytes(oracle.check(cfg)))
+                report = reference_report(net, cfg, oracle)
+                assert oracle.passes(cfg) == report.compliant, (name, sorted(cfg.edges))
+                reports.update(report_bytes(report))
                 solutions.update(solution_bytes(solve_tree(net, cfg, oracle.admittances)))
             digests[f"{name}/k{k}"] = {
                 "candidates": len(listing),

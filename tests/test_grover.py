@@ -26,7 +26,7 @@ from gridsec.grover import (
     uniform_state,
 )
 from gridsec.loadflow import ComplianceOracle, evaluate_configuration
-from gridsec.network import is_spanning_tree
+from gridsec.network import Configuration, Switchover, is_spanning_tree
 
 
 class TestSearchSpace:
@@ -60,6 +60,11 @@ class TestSearchSpace:
     def test_synthetic(self):
         space = SearchSpace.synthetic(10)
         assert space.size == 10
+        assert space.switchover(9) == Switchover(frozenset(), frozenset())
+        assert space.configuration(0) == Configuration(frozenset())
+        for lookup in (space.switchover, space.configuration):
+            with pytest.raises(IndexError):
+                lookup(10)
         with pytest.raises(SearchSpaceError):
             SearchSpace.synthetic(0)
 
@@ -88,7 +93,7 @@ class TestOracle:
                 i
                 for i in range(space.size)
                 if is_spanning_tree(sevenbus, space.configuration(i))
-                and checker.check(space.configuration(i)).compliant
+                and checker.passes(space.configuration(i))
             ]
             searched[edge] = list(make_oracle(sevenbus, space).marked_ids())
             assert searched[edge] == expected

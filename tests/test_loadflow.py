@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsec.classical import check_n1
+from gridsec.classical import check_n1, enumerate_reconfigurations
 from gridsec.loadflow import (
     Admittances,
     ComplianceOracle,
@@ -364,6 +364,14 @@ def outcome(call):
     return report, list(report.currents.items())
 
 
+def verdict(call):
+    """The verdict a call returns, or the type and message of its error."""
+    try:
+        return call()
+    except (ValueError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+
+
 def cancel_a_leaf(network, cfg, draw):
     """The grid with one MSR leaf's load set to cancel its only cable, so
     the sweep meets a zero pivot there; unchanged if no MSR leaf exists."""
@@ -387,9 +395,10 @@ def cancel_a_leaf(network, cfg, draw):
 
 
 class TestOraclePath:
-    """``evaluate_configuration``, the oracle's path, against ``solve_tree``
-    followed by ``check_compliance``: equal reports, currents in the same
-    order, and the same errors."""
+    """``evaluate_configuration`` against ``solve_tree`` followed by
+    ``check_compliance``: equal reports, currents in the same order, and the
+    same errors; the oracle's verdict is the report's, with a non-tree or
+    singular configuration read as non-compliant."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -413,11 +422,13 @@ class TestOraclePath:
         oracle = ComplianceOracle(network)
         expected = outcome(lambda: check_compliance(network, cfg, solve_tree(network, cfg)))
         assert outcome(lambda: evaluate_configuration(network, cfg)) == expected
-        assert outcome(lambda: oracle.check(cfg)) == (
-            outcome(lambda: ComplianceReport(False, (), (), {}))
-            if expected[0] in (NotSpanningTreeError, SingularSystemError)
-            else expected
-        )
+        if isinstance(expected[0], ComplianceReport):
+            wanted = expected[0].compliant
+        elif expected[0] in (NotSpanningTreeError, SingularSystemError):
+            wanted = False
+        else:
+            wanted = expected
+        assert verdict(lambda: oracle.passes(cfg)) == wanted
 
     @pytest.mark.parametrize("detune", [0.0, 1e-14, 1e-9])
     def test_pivot_guard_on_the_oracle_path(self, detune):
@@ -426,6 +437,8 @@ class TestOraclePath:
         expected = outcome(lambda: check_compliance(net, cfg, solve_tree(net, cfg)))
         assert outcome(lambda: evaluate_configuration(net, cfg)) == expected
         assert (expected[0] is SingularSystemError) == (detune < 1e-12)
+        singular = expected[0] is SingularSystemError
+        assert ComplianceOracle(net).passes(cfg) == (not singular and expected[0].compliant)
 
 
 class TestTolerance:
@@ -443,7 +456,7 @@ class TestTolerance:
                 call()
 
     def test_zero_tolerance_accepted(self, sevenbus):
-        assert ComplianceOracle(sevenbus, 0.0).check(sevenbus.initial_configuration()).compliant
+        assert ComplianceOracle(sevenbus, 0.0).passes(sevenbus.initial_configuration())
 
 
 class TestCompliance:
@@ -530,24 +543,107 @@ class TestOracleAccounting:
     def test_counts_each_call(self, sevenbus):
         oracle = ComplianceOracle(sevenbus)
         cfg = sevenbus.initial_configuration()
-        oracle.check(cfg)
-        oracle.check(cfg)
+        oracle.passes(cfg)
+        oracle.passes(cfg)
         assert oracle.calls == 2
 
     def test_failure_counts_and_reports_noncompliant(self, sevenbus):
         oracle = ComplianceOracle(sevenbus)
         broken = Configuration(sevenbus.active_ids - {2})
-        report = oracle.check(broken)
-        assert not report.compliant
+        assert not oracle.passes(broken)
         assert oracle.calls == 1
 
     def test_singular_system_reports_noncompliant(self):
         net = singular_leaf_network()
         oracle = ComplianceOracle(net)
-        assert not oracle.check(net.initial_configuration()).compliant
+        assert not oracle.passes(net.initial_configuration())
         assert oracle.calls == 1
 
     def test_unknown_edge_id_raises(self, sevenbus):
         oracle = ComplianceOracle(sevenbus)
         with pytest.raises(ValueError, match=r"unknown edge ids \[99\]"):
-            oracle.check(Configuration.of([99, 1, 2, 3, 4, 6]))
+            oracle.passes(Configuration.of([99, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def branchy_grids(draw):
+    """A random 3-12-node grid whose root OS node 0 heads 1-4 branches.
+
+    Nodes 1..c hang off the root and every later node off an earlier non-root
+    node, so the active tree has exactly c branches; 0-2 further OS nodes sit
+    anywhere below the root, and 0-4 spare cables (to the root too) close
+    loops.  Some cables are rated at zero, some loads are zero, and on some
+    grids one MSR leaf's load cancels its cable, so that branch is singular.
+    """
+    n = draw(st.integers(3, 12), label="nodes")
+    heads = draw(st.integers(1, min(4, n - 1)), label="branches")
+    pairs = [(0, k) if k <= heads else (draw(st.integers(1, k - 1)), k) for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 4), label="spares")):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
+        pairs.append((a, b))
+    more_os = draw(st.sets(st.integers(1, n - 1), max_size=2), label="other OS")
+    nodes = [Node(0, "OS", 10500.0, 0j, 10500.0, 10500.0)]
+    for nid in range(1, n):
+        if nid in more_os:
+            u = draw(st.floats(10300.0, 10700.0))
+            nodes.append(Node(nid, "OS", u, 0j, u, u))
+            continue
+        load = draw(st.one_of(
+            st.just(0j),
+            st.builds(complex, st.floats(0.0, 2e6), st.floats(-5e5, 5e5)),
+        ))
+        nodes.append(Node(nid, "MSR", 10500.0, load, 9800.0, 11000.0))
+    edges = [
+        Edge(
+            eid,
+            a,
+            b,
+            complex(draw(st.floats(0.01, 0.5)), draw(st.floats(0.0, 0.5))),
+            draw(st.one_of(st.just(0.0), st.floats(1.0, 500.0))),
+            eid <= n - 1,
+        )
+        for eid, (a, b) in enumerate(pairs, start=1)
+    ]
+    network = Network(nodes, edges)
+    if draw(st.booleans(), label="singular branch"):
+        network = cancel_a_leaf(network, network.initial_configuration(), draw)
+    return network
+
+
+class TestOracleVerdict:
+    """``ComplianceOracle.passes``, which re-solves only the branches a
+    configuration touches, against the full report of
+    ``evaluate_configuration``, with a non-tree or singular configuration
+    read as non-compliant."""
+
+    @staticmethod
+    def reference(network, cfg, oracle):
+        try:
+            return evaluate_configuration(network, cfg, admittances=oracle.admittances).compliant
+        except (NotSpanningTreeError, SingularSystemError):
+            return False
+
+    @settings(max_examples=150, deadline=None)
+    @given(branchy_grids(), st.data())
+    def test_passes_equals_reference(self, network, data):
+        oracle = ComplianceOracle(network)
+        base = network.initial_configuration()
+        configs = [base]
+        for k in (1, 2):
+            if k <= len(network.inactive_ids):
+                configs += [cfg for _, cfg in enumerate_reconfigurations(network, base, k)]
+        ids = sorted(network.edge_by_id)
+        tree_size = len(network.nodes) - 1
+        for size in (tree_size, tree_size, data.draw(st.integers(0, len(ids)), label="size")):
+            chosen = data.draw(st.lists(st.sampled_from(ids), min_size=size, max_size=size, unique=True))
+            configs.append(Configuration.of(chosen))
+        for calls, cfg in enumerate(configs, start=1):
+            assert oracle.passes(cfg) == self.reference(network, cfg, oracle)
+            assert oracle.calls == calls
+
+        unknown = max(ids) + 1
+        for cfg in (base.edges | {unknown}, base.edges - {min(base.edges)} | {unknown}):
+            with pytest.raises(ValueError, match=rf"unknown edge ids \[{unknown}\]"):
+                oracle.passes(Configuration(cfg))
+        assert oracle.calls == len(configs) + 2
