@@ -30,8 +30,9 @@ from .network import (
 )
 from .loadflow import (
     ComplianceReport,
-    evaluate_configuration,
+    check_compliance,
     problem_edges,
+    solve_tree,
 )
 from .classical import N1Report, check_n1, enumerate_reconfigurations
 from .qubo import Qubo, brute_force_minimize
@@ -78,10 +79,10 @@ __all__ = [
     "build_loadflow_qubo",
     "build_n1_qubo",
     "build_tree_qubo",
+    "check_compliance",
     "check_n1",
     "decode_solution",
     "enumerate_reconfigurations",
-    "evaluate_configuration",
     "fundamental_cycles",
     "grover_search",
     "index_reconfigurations",
@@ -93,6 +94,7 @@ __all__ = [
     "problem_edges",
     "serialize_network",
     "simulated_annealing",
+    "solve_tree",
     "steepest_descent",
     "success_probability",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -31,11 +32,6 @@ EXIT_INSECURE = 2
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
-
-
-def _load(path: str) -> net.Network:
-    with open(path, "r", encoding="utf-8") as handle:
-        return net.parse_network(handle.read())
 
 
 def _seed_from(args) -> int:
@@ -60,11 +56,35 @@ def _weights_from(args) -> n1qubo.PenaltyWeights:
     if not getattr(args, "weights", None):
         return n1qubo.PenaltyWeights()
     raw = json.loads(args.weights)
-    allowed = {"dw", "root", "con", "ind", "u_real", "u_imag", "current", "aux"}
+    allowed = {f.name for f in dataclasses.fields(n1qubo.PenaltyWeights)}
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown weight keys {sorted(unknown)}; allowed: {sorted(allowed)}")
     return n1qubo.PenaltyWeights(**raw)
+
+
+def _build_qubo(grid: net.Network, args):
+    """The QUBO and layout ``qubo`` and ``anneal`` work on: the tree QUBO with
+    ``--tree-only``, else the combined N-1 QUBO."""
+    weights = _weights_from(args)
+    if args.tree_only:
+        levels = n1qubo.default_levels(grid) if args.height is None else args.height
+        return n1qubo.build_tree_qubo(grid, levels, weights=weights, failing_edge=args.failing_edge)
+    return n1qubo.build_n1_qubo(
+        grid,
+        failing_edge=args.failing_edge,
+        levels=args.height,
+        bits_real=args.bits_u,
+        bits_imag=args.bits_ui,
+        bits_current=args.bits_i,
+        weights=weights,
+    )
+
+
+def _switches(switch: net.Switchover) -> str:
+    on = ",".join(map(str, sorted(switch.activate)))
+    off = ",".join(map(str, sorted(switch.deactivate)))
+    return f"on[{on}] off[{off}]"
 
 
 def _write(path: str | None, content: str, label: str) -> None:
@@ -81,18 +101,14 @@ def _write(path: str | None, content: str, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    grid = _load(args.network)
+    grid = net.load_network(args.network)
     report = classical.check_n1(grid, args.k_max)
     if args.format == "json":
         print(report.to_json())
     else:
         print(f"{'edge':>6}  {'status':<10} {'k':>3}  witness")
         for eid, verdict in sorted(report.per_edge.items()):
-            witness = ""
-            if verdict.witness is not None:
-                on = ",".join(map(str, sorted(verdict.witness.activate)))
-                off = ",".join(map(str, sorted(verdict.witness.deactivate)))
-                witness = f"on[{on}] off[{off}]"
+            witness = "" if verdict.witness is None else _switches(verdict.witness)
             print(f"{eid:>6}  {verdict.status:<10} {verdict.k or '-':>3}  {witness}")
         single = sum(1 for v in report.per_edge.values() if v.k == 1)
         print(f"single-switchover coverage: {single}/{len(report.per_edge)} active edges")
@@ -102,7 +118,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    grid = _load(args.network)
+    grid = net.load_network(args.network)
     restrict = frozenset({args.failing_edge}) if args.failing_edge is not None else None
     listing = classical.enumerate_reconfigurations(
         grid, grid.initial_configuration(), args.k, restrict_to=restrict
@@ -111,15 +127,13 @@ def cmd_enumerate(args) -> int:
         print(json.dumps([switch.as_dict() for switch, _ in listing], indent=2))
     else:
         for idx, (switch, _) in enumerate(listing):
-            on = ",".join(map(str, sorted(switch.activate)))
-            off = ",".join(map(str, sorted(switch.deactivate)))
-            print(f"{idx:>4}: on[{on}] off[{off}]")
+            print(f"{idx:>4}: {_switches(switch)}")
         print(f"{len(listing)} reconfigurations (k={args.k})")
     return EXIT_OK
 
 
 def cmd_loadflow(args) -> int:
-    grid = _load(args.network)
+    grid = net.load_network(args.network)
     cfg = grid.initial_configuration()
     if args.activate or args.deactivate:
         unknown = (set(args.activate) | set(args.deactivate)) - set(grid.edge_by_id)
@@ -143,39 +157,20 @@ def cmd_loadflow(args) -> int:
 
 
 def cmd_qubo(args) -> int:
-    grid = _load(args.network)
-    weights = _weights_from(args)
+    grid = net.load_network(args.network)
+    qubo, layout = _build_qubo(grid, args)
     if args.tree_only:
-        levels = args.height or n1qubo.default_levels(grid)
-        qubo, layout = n1qubo.build_tree_qubo(
-            grid, levels, weights=weights, failing_edge=args.failing_edge
-        )
-        labels = layout.labels
-        layout_doc = {
-            "kind": "tree",
-            "levels": layout.levels,
-            "failing_edge": layout.failing_edge,
-            "variables": {str(i): label for i, label in enumerate(labels)},
-        }
+        layout_doc = {"kind": "tree", "levels": layout.levels, "failing_edge": layout.failing_edge}
     else:
-        qubo, layout = n1qubo.build_n1_qubo(
-            grid,
-            failing_edge=args.failing_edge,
-            levels=args.height,
-            bits_real=args.bits_u,
-            bits_imag=args.bits_ui,
-            bits_current=args.bits_i,
-            weights=weights,
-        )
-        labels = layout.labels
         layout_doc = {
             "kind": "n1",
             "levels": layout.tree.levels,
             "failing_edge": layout.tree.failing_edge,
             "bits": {"u_real": args.bits_u, "u_imag": args.bits_ui, "current": args.bits_i},
             "group_weights": layout.weights,
-            "variables": {str(i): label for i, label in enumerate(labels)},
         }
+    labels = layout.labels
+    layout_doc["variables"] = {str(i): label for i, label in enumerate(labels)}
     _write(args.out, qubo.dumps(labels=labels), "QUBO")
     if args.layout_out:
         _write(args.layout_out, json.dumps(layout_doc, indent=2) + "\n", "layout")
@@ -184,24 +179,9 @@ def cmd_qubo(args) -> int:
 
 
 def cmd_anneal(args) -> int:
-    grid = _load(args.network)
+    grid = net.load_network(args.network)
     seed = _seed_from(args)
-    weights = _weights_from(args)
-    if args.tree_only:
-        levels = args.height or n1qubo.default_levels(grid)
-        qubo, layout = n1qubo.build_tree_qubo(
-            grid, levels, weights=weights, failing_edge=args.failing_edge
-        )
-    else:
-        qubo, layout = n1qubo.build_n1_qubo(
-            grid,
-            failing_edge=args.failing_edge,
-            levels=args.height,
-            bits_real=args.bits_u,
-            bits_imag=args.bits_ui,
-            bits_current=args.bits_i,
-            weights=weights,
-        )
+    qubo, layout = _build_qubo(grid, args)
     beta_range = None
     if (args.beta_min is None) != (args.beta_max is None):
         return _fail("--beta-min and --beta-max must be given together")
@@ -252,7 +232,7 @@ def cmd_anneal(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    grid = _load(args.network)
+    grid = net.load_network(args.network)
     seed = _seed_from(args)
     space = grover.index_reconfigurations(grid, args.failing_edge, args.k)
     oracle = grover.make_oracle(grid, space)
@@ -282,11 +262,8 @@ def cmd_grover(args) -> int:
         return no_compliant_switchover()
     print(f"candidates: {space.size}, marked: {len(marked)}")
     print(f"iterations: {result.iterations}, oracle queries: {result.queries}")
-    switch = result.switchover
-    on = ",".join(map(str, sorted(switch.activate)))
-    off = ",".join(map(str, sorted(switch.deactivate)))
     missed = "" if result.sampled_id in marked else " (not compliant)"
-    print(f"sampled id {result.sampled_id}: on[{on}] off[{off}]{missed}")
+    print(f"sampled id {result.sampled_id}: {_switches(result.switchover)}{missed}")
     return EXIT_OK
 
 

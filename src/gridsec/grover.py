@@ -111,50 +111,33 @@ def index_reconfigurations(network: Network, failing_edge: int, k: int) -> Searc
 
 
 class Oracle:
-    """Validity predicate over candidate ids, with query accounting."""
+    """The sorted ids of the marked candidates, with query accounting."""
 
-    def __init__(self, predicate, size: int):
-        self._predicate = predicate
-        self.size = size
+    def __init__(self, marked: np.ndarray):
+        self._marked = marked
         self.queries = 0
-        self._marked: np.ndarray | None = None
 
     @classmethod
     def from_marked(cls, marked_ids, size: int) -> Oracle:
         marked = np.unique(np.fromiter(map(operator.index, marked_ids), dtype=np.int64))
         if marked.size and (marked[0] < 0 or marked[-1] >= size):
             raise ValueError(f"marked ids must lie in [0, {size})")
-        oracle = cls(frozenset(marked.tolist()).__contains__, size)
-        oracle._marked = marked
-        return oracle
+        return cls(marked)
 
     def marked_ids(self) -> np.ndarray:
-        """Sorted ids the oracle marks; evaluated once, not counted as queries."""
-        if self._marked is None:
-            self._marked = np.array(
-                [i for i in range(self.size) if self._predicate(i)], dtype=np.int64
-            )
+        """Sorted ids the oracle marks; reading them is not counted as a query."""
         return self._marked
-
-    def count_iteration(self) -> None:
-        self.queries += 1
-
-    def classical_check(self, candidate_id: int) -> bool:
-        self.queries += 1
-        return bool(self._predicate(candidate_id))
 
 
 def make_oracle(network: Network, space: SearchSpace, tol: float = 1e-9) -> Oracle:
-    """Oracle backed by the classical load-flow checker, which reports a
-    candidate that is not a spanning tree as non-compliant."""
+    """Oracle marking every candidate the classical load-flow checker passes;
+    a candidate that is not a spanning tree is non-compliant."""
     if space.size < 1:
         raise SearchSpaceError("cannot build an oracle over an empty space")
     checker = ComplianceOracle(network, tol)
-
-    def predicate(candidate_id: int) -> bool:
-        return checker.passes(space.configuration(candidate_id))
-
-    return Oracle(predicate, space.size)
+    return Oracle.from_marked(
+        (i for i in range(space.size) if checker.passes(space.configuration(i))), space.size
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +269,8 @@ def grover_search(
 
 def classical_scan(space: SearchSpace, oracle: Oracle) -> int | None:
     """Exhaustive baseline: test candidates in id order, one query each, so
-    first marked id + 1 queries, or N on a miss.  An oracle that already holds
-    its marked set is charged from it; a predicate-backed one is evaluated
-    per candidate and stops at the first hit."""
-    marked = oracle._marked
-    if marked is None:
-        for candidate_id in range(space.size):
-            if oracle.classical_check(candidate_id):
-                return candidate_id
-        return None
+    first marked id + 1 queries, or N on a miss, charged from the marked set."""
+    marked = oracle.marked_ids()
     first = int(marked[0]) if marked.size and marked[0] < space.size else None
     oracle.queries += space.size if first is None else first + 1
     return first

@@ -10,10 +10,9 @@ Laplacian plus diagonal load admittances.  It is solved exactly in O(n) by
 the backward/forward sweep of radial load flow (Shirmohammadi et al., IEEE
 TPWRS 1988): MSR nodes are eliminated leaf first toward the fixed OS nodes,
 then one forward pass substitutes back.  One position-indexed sweep and one
-bounds rule serve every caller.  :func:`evaluate_configuration` builds the
-full report with the unknown-id check, the tree check and the pivot guard
-but no residual; only :func:`solve_tree` adds the nodal-balance residual and
-a voltage dict by node id.
+bounds rule serve every caller.  :func:`solve_tree` adds the nodal-balance
+residual and a voltage dict by node id, and :func:`check_compliance` builds
+the full report from them.
 
 :class:`ComplianceOracle` answers the verdict alone.  A switchover leaves
 every branch of the base tree (a subtree under one child of the root) that
@@ -50,7 +49,6 @@ __all__ = [
     "solve_loadflow",
     "solve_tree",
     "check_compliance",
-    "evaluate_configuration",
     "problem_edges",
     "ComplianceOracle",
 ]
@@ -392,19 +390,6 @@ def check_compliance(
     """
     adm = Admittances.of(network)
     return _compliance(adm, cfg, [solution.u[nid] for nid in adm.node_ids], _validated(tol))
-
-
-def evaluate_configuration(
-    network: Network,
-    cfg: Configuration,
-    tol: float = DEFAULT_TOLERANCE,
-    admittances: Admittances | None = None,
-) -> ComplianceReport:
-    """``check_compliance(network, cfg, solve_tree(network, cfg), tol)``, with
-    the same errors, minus the residual and the voltage dict."""
-    adm = admittances or Admittances.of(network)
-    _require_known(adm, cfg.edges)
-    return _compliance(adm, cfg, _sweep(adm, cfg)[0], _validated(tol))
 
 
 def problem_edges(network: Network) -> frozenset[int]:

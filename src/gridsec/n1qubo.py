@@ -37,13 +37,13 @@ bits ``z = y * u`` and the pairwise consistency penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .loadflow import admittance, check_compliance, problem_edges, solve_tree
-from .network import Configuration, Network
+from .network import Configuration, Network, tree_walk
 from .qubo import (
     Qubo,
     QuboBuilder,
@@ -114,7 +114,7 @@ class PenaltyWeights:
         )
 
     def validated(self) -> PenaltyWeights:
-        for name in ("dw", "root", "con", "ind", "u_real", "u_imag", "current", "aux"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"penalty weight {name} must be positive, got {value}")
@@ -128,7 +128,6 @@ class TreeVarLayout:
     edge_bits: dict[int, tuple[int, ...]]
     edge_endpoints: dict[int, tuple[int, int]]
     active_ids: frozenset[int]
-    inactive_ids: frozenset[int]
     failing_edge: int | None
     labels: list[str]
     num_vars: int
@@ -147,14 +146,11 @@ class TreeVarLayout:
             for nid, var_bits in self.node_bits.items()
         }
 
-    def decode_edge_options(self, bits) -> dict[int, int | None]:
-        return {
+    def decode_selected_edges(self, bits) -> frozenset[int] | None:
+        options = {
             eid: domain_wall_decode([bits[b] for b in var_bits])
             for eid, var_bits in self.edge_bits.items()
         }
-
-    def decode_selected_edges(self, bits) -> frozenset[int] | None:
-        options = self.decode_edge_options(bits)
         if any(opt is None for opt in options.values()):
             return None
         skip = self.not_in_tree_option()
@@ -162,15 +158,7 @@ class TreeVarLayout:
 
     def encode_tree(self, network: Network, cfg: Configuration, root: int) -> np.ndarray:
         """Canonical zero-penalty encoding of a spanning tree rooted at ``root``."""
-        adj = network.neighbors(cfg)
-        depth = {root: 0}
-        frontier = [root]
-        while frontier:
-            current = frontier.pop(0)
-            for neighbor, _ in adj[current]:
-                if neighbor not in depth:
-                    depth[neighbor] = depth[current] + 1
-                    frontier.append(neighbor)
+        depth = tree_walk(network, cfg, root)[0]
         if len(depth) != len(network.nodes):
             raise ValueError("configuration does not span all nodes")
         height = max(depth.values())
@@ -271,6 +259,8 @@ def default_levels(network: Network) -> int:
 def _tree_variables(
     network: Network, levels: int, failing_edge: int | None, alloc: VarAllocator
 ) -> TreeVarLayout:
+    if levels < 2:
+        raise ValueError(f"need at least 2 depth levels, got {levels}")
     if failing_edge is not None:
         if failing_edge not in network.edge_by_id:
             raise ValueError(f"unknown edge id {failing_edge}")
@@ -294,7 +284,6 @@ def _tree_variables(
         edge_bits=edge_bits,
         edge_endpoints=edge_endpoints,
         active_ids=network.active_ids - ({failing_edge} if failing_edge is not None else set()),
-        inactive_ids=network.inactive_ids,
         failing_edge=failing_edge,
         labels=alloc.labels,
         num_vars=alloc.count,
@@ -407,8 +396,6 @@ def build_tree_qubo(
     of OS-rooted spanning trees of height <= levels - 1, with energy equal to
     the number of switches away from the active set.
     """
-    if levels < 2:
-        raise ValueError(f"need at least 2 depth levels, got {levels}")
     weights = (weights or PenaltyWeights()).validated().resolved(
         len(network.edges) - (1 if failing_edge is not None else 0)
     )
@@ -465,6 +452,9 @@ def _loadflow_variables(
     cfg: Configuration | None,
     alloc: VarAllocator,
 ) -> LoadflowVarLayout:
+    for name, value in (("bits_real", bits_real), ("bits_imag", bits_imag), ("bits_current", bits_current)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     layout = LoadflowVarLayout(
         bits_real={},
         bits_imag={},
@@ -612,9 +602,6 @@ def build_loadflow_qubo(
     the configuration; every other rated edge cannot be violated while the
     voltages stay inside their encoded bands.
     """
-    for name, value in (("bits_real", bits_real), ("bits_imag", bits_imag), ("bits_current", bits_current)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     weights = (weights or PenaltyWeights()).validated().resolved(len(network.edges))
     alloc = alloc or VarAllocator()
     current_edges = sorted(problem_edges(network) & cfg.edges)

@@ -30,6 +30,7 @@ __all__ = [
     "load_network",
     "serialize_network",
     "is_spanning_tree",
+    "tree_walk",
     "fundamental_cycles",
     "apply_switchover",
 ]
@@ -185,7 +186,14 @@ class Network:
         self.msr_ids: tuple[int, ...] = tuple(n.id for n in self.nodes if n.kind == MSR)
         if not self.os_ids:
             raise ValidationError("network needs at least one OS node")
-        self._check_tree(self.active_ids, "active edge set")
+        stranded, cycle_edge = _union_find(self, self.active_ids)
+        if stranded:
+            raise ValidationError(f"active edge set leaves nodes {stranded} disconnected")
+        if cycle_edge is not None:
+            e = self.edge_by_id[cycle_edge]
+            raise ValidationError(
+                f"active edge set contains a cycle through edge {cycle_edge} ({e.n}, {e.m})"
+            )
 
     # -- structure helpers ---------------------------------------------------
 
@@ -202,34 +210,6 @@ class Network:
         for lst in adj.values():
             lst.sort()
         return adj
-
-    def _check_tree(self, edge_ids: frozenset[int], what: str) -> None:
-        parent = {n.id: n.id for n in self.nodes}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        cycle_edge = None
-        for eid in sorted(edge_ids):
-            e = self.edge_by_id[eid]
-            ra, rb = find(e.n), find(e.m)
-            if ra == rb:
-                cycle_edge = cycle_edge if cycle_edge is not None else eid
-                continue
-            parent[ra] = rb
-        roots = {find(n.id) for n in self.nodes}
-        if len(roots) > 1:
-            anchor = find(self.os_ids[0])
-            stranded = sorted(n.id for n in self.nodes if find(n.id) != anchor)
-            raise ValidationError(f"{what} leaves nodes {stranded} disconnected")
-        if cycle_edge is not None:
-            e = self.edge_by_id[cycle_edge]
-            raise ValidationError(
-                f"{what} contains a cycle through edge {cycle_edge} ({e.n}, {e.m})"
-            )
 
     def as_dict(self) -> dict:
         return {
@@ -283,6 +263,17 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def _int_field(mapping: Mapping, key: str, where: str) -> int:
+    """An integer field; a JSON number with a fractional part, a string or a
+    boolean is rejected rather than truncated or coerced."""
+    raw = _require(mapping, key, where)
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ParseError(f"{where}: {key} must be an integer, got {raw!r}")
+    return raw
+
+
 def parse_network(text: str) -> Network:
     """Parse the JSON network format into a validated :class:`Network`."""
     try:
@@ -298,7 +289,7 @@ def parse_network(text: str) -> Network:
         try:
             nodes.append(
                 Node(
-                    id=int(_require(raw, "id", where)),
+                    id=_int_field(raw, "id", where),
                     kind=str(_require(raw, "type", where)),
                     u_nom=float(_require(raw, "u_nom", where)),
                     load=_complex_field(_require(raw, "load", where), where),
@@ -315,9 +306,9 @@ def parse_network(text: str) -> Network:
         try:
             edges.append(
                 Edge(
-                    id=int(_require(raw, "id", where)),
-                    n=int(_require(raw, "n", where)),
-                    m=int(_require(raw, "m", where)),
+                    id=_int_field(raw, "id", where),
+                    n=_int_field(raw, "n", where),
+                    m=_int_field(raw, "m", where),
                     z=_complex_field(_require(raw, "z", where), where),
                     i_max=float(_require(raw, "i_max", where)),
                     initially_active=_bool_field(_require(raw, "active", where), where),
@@ -348,12 +339,10 @@ def _validate_edge_ids(network: Network, edge_ids: Iterable[int]) -> None:
         raise ValueError(f"unknown edge ids {unknown}")
 
 
-def is_spanning_tree(network: Network, cfg: Configuration) -> bool:
-    """True iff the configuration has |V| - 1 edges and connects every node."""
-    _validate_edge_ids(network, cfg.edges)
-    n_nodes = len(network.nodes)
-    if len(cfg.edges) != n_nodes - 1:
-        return False
+def _union_find(network: Network, edge_ids: Iterable[int]) -> tuple[list[int], int | None]:
+    """Join the endpoints of ``edge_ids`` in increasing id order: the node ids
+    left outside the first OS node's component, and the first edge that
+    closes a cycle (``None`` if none does)."""
     parent = {n.id: n.id for n in network.nodes}
 
     def find(a: int) -> int:
@@ -362,15 +351,43 @@ def is_spanning_tree(network: Network, cfg: Configuration) -> bool:
             a = parent[a]
         return a
 
-    merged = 0
-    for eid in cfg.edges:
+    cycle_edge = None
+    for eid in sorted(edge_ids):
         e = network.edge_by_id[eid]
         ra, rb = find(e.n), find(e.m)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        merged += 1
-    return merged == n_nodes - 1
+        if ra != rb:
+            parent[ra] = rb
+        elif cycle_edge is None:
+            cycle_edge = eid
+    anchor = find(network.os_ids[0])
+    return [n.id for n in network.nodes if find(n.id) != anchor], cycle_edge
+
+
+def is_spanning_tree(network: Network, cfg: Configuration) -> bool:
+    """True iff the configuration has |V| - 1 edges and connects every node."""
+    _validate_edge_ids(network, cfg.edges)
+    if len(cfg.edges) != len(network.nodes) - 1:
+        return False
+    return _union_find(network, cfg.edges)[1] is None
+
+
+def tree_walk(
+    network: Network, cfg: Configuration, root: int
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """Breadth-first walk of the configuration from ``root``, neighbours in
+    node-id order: the depth of every node reached, in visiting order, and the
+    ``(parent, edge id)`` of every reached node but the root."""
+    adj = network.neighbors(cfg)
+    depth = {root: 0}
+    parent_edge: dict[int, tuple[int, int]] = {}
+    order = [root]
+    for current in order:
+        for neighbor, eid in adj[current]:
+            if neighbor not in depth:
+                depth[neighbor] = depth[current] + 1
+                parent_edge[neighbor] = (current, eid)
+                order.append(neighbor)
+    return depth, parent_edge
 
 
 def fundamental_cycles(network: Network, cfg: Configuration) -> dict[int, frozenset[int]]:
@@ -382,20 +399,7 @@ def fundamental_cycles(network: Network, cfg: Configuration) -> dict[int, frozen
     """
     if not is_spanning_tree(network, cfg):
         raise NotSpanningTreeError("configuration is not a spanning tree")
-    adj = network.neighbors(cfg)
-
-    # parent pointers from a BFS rooted at the smallest node id
-    root = network.nodes[0].id
-    parent_edge: dict[int, tuple[int, int]] = {}
-    depth = {root: 0}
-    queue = [root]
-    while queue:
-        current = queue.pop(0)
-        for neighbor, eid in adj[current]:
-            if neighbor not in depth:
-                depth[neighbor] = depth[current] + 1
-                parent_edge[neighbor] = (current, eid)
-                queue.append(neighbor)
+    depth, parent_edge = tree_walk(network, cfg, network.nodes[0].id)
 
     def tree_path(a: int, b: int) -> frozenset[int]:
         path = set()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gridsec.datasets import load_bundled
+from gridsec.loadflow import check_compliance, solve_tree
 from gridsec.network import Configuration, Edge, Network, Node
 
 
@@ -107,6 +108,16 @@ def rooted_height(network: Network, tree: frozenset[int], root: int) -> int:
                 frontier.append(neighbor)
     assert len(depth) == len(network.nodes)
     return max(depth.values())
+
+
+def full_report(network: Network, cfg: Configuration, tol: float = 1e-9):
+    """The full compliance report of a whole-tree solve, rather than the
+    oracle's branch reuse."""
+    return check_compliance(network, cfg, solve_tree(network, cfg), tol)
+
+
+def compliant(network: Network, cfg: Configuration) -> bool:
+    return full_report(network, cfg).compliant
 
 
 def tree_config(edge_ids) -> Configuration:

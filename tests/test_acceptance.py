@@ -32,7 +32,7 @@ from gridsec.grover import (
     success_probability,
     uniform_state,
 )
-from gridsec.loadflow import admittance, evaluate_configuration
+from gridsec.loadflow import admittance
 from gridsec.network import Configuration
 from gridsec.n1qubo import (
     build_loadflow_qubo,
@@ -56,6 +56,7 @@ from gridsec.qubo import (
 )
 
 from conftest import (
+    full_report,
     make_network,
     rooted_height,
     spanning_trees,
@@ -85,7 +86,7 @@ def test_criterion_1_classical_end_to_end(sevenbus):
     assert switch.deactivate == frozenset({2})
     assert candidate.edges == GOOD_SWAP
 
-    compliance = evaluate_configuration(sevenbus, candidate, tol=1e-9)
+    compliance = full_report(sevenbus, candidate, tol=1e-9)
     assert compliance.compliant
 
     witnesses = step1_single_switch(sevenbus)
@@ -308,7 +309,7 @@ def test_criterion_4_violating_configuration_exceeds_quantization(sevenbus):
     that contains every grid point.
     """
     bad = Configuration(BAD_SWAP)
-    (eid, current, _), = evaluate_configuration(sevenbus, bad).current_violations
+    (eid, current, _), = full_report(sevenbus, bad).current_violations
     edge = sevenbus.edge_by_id[eid]
 
     def build(cfg, bits):

@@ -14,7 +14,7 @@ from gridsec.classical import (
     step2_multi_switch,
 )
 from gridsec.datasets import load_bundled
-from gridsec.loadflow import ComplianceOracle, evaluate_configuration
+from gridsec.loadflow import ComplianceOracle
 from gridsec.network import (
     Configuration,
     Network,
@@ -24,7 +24,7 @@ from gridsec.network import (
     is_spanning_tree,
 )
 
-from conftest import make_network, spanning_trees
+from conftest import compliant, make_network, spanning_trees
 
 
 def reference_enumeration(network, cfg, k, restrict_to=None):
@@ -192,7 +192,7 @@ class TestStepOne:
         cfg = sevenbus.initial_configuration()
         for failing, switch in witnesses.items():
             assert failing in switch.deactivate
-            assert evaluate_configuration(sevenbus, apply_switchover(cfg, switch)).compliant
+            assert compliant(sevenbus, apply_switchover(cfg, switch))
             # all viable single-switch fixes route through the {3,6} spare,
             # since the {4,6} spare is rated at zero amps
             assert switch.activate == frozenset({4})
@@ -217,7 +217,7 @@ class TestStepOne:
         for switch in step1_single_switch(sevenbus).values():
             candidate = apply_switchover(cfg, switch)
             assert is_spanning_tree(sevenbus, candidate)
-            assert evaluate_configuration(sevenbus, candidate).compliant
+            assert compliant(sevenbus, candidate)
 
 
 class TestStepTwo:
@@ -253,7 +253,7 @@ class TestStepTwo:
             for tree in spanning_trees(sevenbus)
             if len(tree ^ cfg.edges) == 4
             and 6 not in tree
-            and evaluate_configuration(sevenbus, Configuration(tree)).compliant
+            and compliant(sevenbus, Configuration(tree))
         ]
         assert (6 in witnesses) == bool(passing)
 
@@ -282,7 +282,7 @@ class TestFullCheck:
             fixable = any(
                 len(tree ^ cfg.edges) == 2
                 and eid not in tree
-                and evaluate_configuration(sevenbus, Configuration(tree)).compliant
+                and compliant(sevenbus, Configuration(tree))
                 for tree in trees
             )
             assert (verdict.status != INSECURE) == fixable

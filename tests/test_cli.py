@@ -10,6 +10,15 @@ from gridsec.qubo import Qubo
 SEVENBUS = str(bundled_path("sevenbus"))
 DEMO_K1 = str(bundled_path("demo_single_switch"))
 
+# QUBO size flags no builder accepts, each with its one-line error
+BAD_SIZES = (
+    (["--height", "0"], "need at least 2 depth levels, got 0"),
+    (["--height", "1"], "need at least 2 depth levels, got 1"),
+    (["--bits-u", "0"], "bits_real must be >= 1, got 0"),
+    (["--bits-ui", "0"], "bits_imag must be >= 1, got 0"),
+    (["--bits-i", "-1"], "bits_current must be >= 1, got -1"),
+)
+
 
 def schema(name):
     root = Path(__file__).parents[1] / "src" / "gridsec" / "schemas"
@@ -217,6 +226,17 @@ class TestQubo:
         assert code == 1
         assert "bogus" in err
 
+    def test_bad_sizes_are_input_errors(self, capsys, tmp_path):
+        out_path = tmp_path / "problem.qubo"
+        heights = [(["--tree-only", *flags], message) for flags, message in BAD_SIZES[:2]]
+        for flags, message in [*BAD_SIZES, *heights]:
+            code, out, err = run(
+                capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2",
+                "--out", str(out_path), *flags,
+            )
+            assert (code, out, err) == (1, "", f"error: {message}\n"), flags
+            assert not out_path.exists()
+
 
 class TestAnneal:
     ARGS = [
@@ -266,6 +286,14 @@ class TestAnneal:
             assert code == 1
             assert out == ""
             assert err == f"error: {message}\n"
+
+    def test_bad_sizes_are_input_errors(self, capsys):
+        for flags, message in BAD_SIZES:
+            code, out, err = run(
+                capsys, "anneal", "--network", SEVENBUS, "--failing-edge", "2",
+                "--reads", "2", "--sweeps", "10", "--seed", "5", *flags,
+            )
+            assert (code, out, err) == (1, "", f"error: {message}\n"), flags
 
     def test_beta_window_flags(self, capsys, monkeypatch):
         monkeypatch.delenv("GRIDSEC_SEED", raising=False)

@@ -2,7 +2,7 @@
 
 ``tests/data/compliance_digests.json`` holds, for every k <= 2
 reconfiguration of the three bundled networks and of a 4 x 25 feeder grid
-built below, the sha256 of every ``evaluate_configuration`` report (a
+built below, the sha256 of every ``check_compliance`` report (a
 configuration that is not a tree, or is singular, hashed as an empty
 non-compliant report) and of every ``solve_tree`` solution, plus the
 ``check_n1`` report of each network.  The oracle's verdict on every
@@ -31,7 +31,7 @@ from gridsec.loadflow import (
     ComplianceReport,
     SingularSystemError,
     VoltageSolution,
-    evaluate_configuration,
+    check_compliance,
     solve_tree,
 )
 from gridsec.network import Edge, Network, Node, NotSpanningTreeError
@@ -97,7 +97,7 @@ def solution_bytes(solution: VoltageSolution) -> bytes:
 
 def reference_report(net: Network, cfg, oracle: ComplianceOracle) -> ComplianceReport:
     try:
-        return evaluate_configuration(net, cfg, oracle.tol, oracle.admittances)
+        return check_compliance(net, cfg, solve_tree(net, cfg, oracle.admittances), oracle.tol)
     except (NotSpanningTreeError, SingularSystemError):
         return ComplianceReport(False, (), (), {})
 

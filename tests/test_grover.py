@@ -25,8 +25,10 @@ from gridsec.grover import (
     success_probability,
     uniform_state,
 )
-from gridsec.loadflow import ComplianceOracle, evaluate_configuration
+from gridsec.loadflow import ComplianceOracle
 from gridsec.network import Configuration, Switchover, is_spanning_tree
+
+from conftest import compliant
 
 
 class TestSearchSpace:
@@ -76,8 +78,7 @@ class TestOracle:
         assert list(oracle.marked_ids()) == [0]
         # the marked candidate really is compliant, the others really are not
         for i in range(space.size):
-            compliant = evaluate_configuration(demo_k1, space.configuration(i)).compliant
-            assert compliant == (i == 0)
+            assert compliant(demo_k1, space.configuration(i)) == (i == 0)
 
     def test_sevenbus_marks_match_tree_checked_predicate(self, sevenbus):
         """Marked sets at k=1 equal those of a predicate that checks the tree
@@ -107,7 +108,7 @@ class TestOracle:
         expected = {
             i
             for i in range(space.size)
-            if evaluate_configuration(demo_k2, space.configuration(i)).compliant
+            if compliant(demo_k2, space.configuration(i))
         }
         assert marked == expected
         assert len(marked) == 3
@@ -118,9 +119,10 @@ class TestOracle:
         oracle = Oracle.from_marked({1}, size=8)
         oracle.marked_ids()
         assert oracle.queries == 0  # marking is the oracle's internal definition
-        oracle.count_iteration()
-        oracle.classical_check(3)
+        grover_search(SearchSpace.synthetic(8), oracle, iterations=2, seed=0)
         assert oracle.queries == 2
+        classical_scan(SearchSpace.synthetic(8), oracle)
+        assert oracle.queries == 4
 
     def test_from_marked_rejects_ids_outside_the_space(self):
         for bad in ({-1}, {8}, {-1, 99}, {0, 8}):
@@ -132,9 +134,6 @@ class TestOracle:
     def test_from_marked_ids_sorted_and_unique(self):
         oracle = Oracle.from_marked([5, 0, 7, 5], size=8)
         assert oracle.marked_ids().tolist() == [0, 5, 7]
-        assert [oracle.classical_check(i) for i in range(8)] == [
-            True, False, False, False, False, True, False, True
-        ]
 
     def test_classical_scan_counts_per_candidate(self):
         oracle = Oracle.from_marked({5}, size=8)
@@ -146,22 +145,6 @@ class TestOracle:
         oracle = Oracle.from_marked(set(), size=4)
         assert classical_scan(SearchSpace.synthetic(4), oracle) is None
         assert oracle.queries == 4
-
-    def test_classical_scan_stops_predicate_at_first_hit(self):
-        evaluated = []
-
-        def predicate(candidate_id):
-            evaluated.append(candidate_id)
-            return candidate_id in (3, 6)
-
-        oracle = Oracle(predicate, size=8)
-        assert classical_scan(SearchSpace.synthetic(8), oracle) == 3
-        assert oracle.queries == 4
-        assert evaluated == [0, 1, 2, 3]
-
-        missing = Oracle(lambda candidate_id: False, size=5)
-        assert classical_scan(SearchSpace.synthetic(5), missing) is None
-        assert missing.queries == 5
 
 
 class TestIterate:

@@ -15,14 +15,13 @@ from gridsec.loadflow import (
     admittance,
     assemble_system,
     check_compliance,
-    evaluate_configuration,
     problem_edges,
     solve_loadflow,
     solve_tree,
 )
 from gridsec.network import Configuration, Edge, Network, Node, NotSpanningTreeError
 
-from conftest import make_network, spanning_trees, tree_config
+from conftest import compliant, full_report, make_network, spanning_trees, tree_config
 
 
 def independent_fixture_solve(network, cfg):
@@ -148,7 +147,7 @@ class TestAssembleSolve:
         magnitudes = [abs(solution.u[n]) for n in (1, 2, 3)]
         assert all(10400.0 < m < 10500.0 for m in magnitudes)
         assert magnitudes == sorted(magnitudes, reverse=True)
-        assert evaluate_configuration(net, net.initial_configuration()).compliant
+        assert compliant(net, net.initial_configuration())
         assert_same_voltages(solve_tree(net, net.initial_configuration()), solution, 1e-12)
 
     def test_zero_loads_pin_os_voltage(self):
@@ -395,10 +394,9 @@ def cancel_a_leaf(network, cfg, draw):
 
 
 class TestOraclePath:
-    """``evaluate_configuration`` against ``solve_tree`` followed by
-    ``check_compliance``: equal reports, currents in the same order, and the
-    same errors; the oracle's verdict is the report's, with a non-tree or
-    singular configuration read as non-compliant."""
+    """The oracle's verdict is that of ``solve_tree`` followed by
+    ``check_compliance``, with a non-tree or singular configuration read as
+    non-compliant and the same errors otherwise."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -421,7 +419,6 @@ class TestOraclePath:
             network = cancel_a_leaf(network, cfg, data.draw)
         oracle = ComplianceOracle(network)
         expected = outcome(lambda: check_compliance(network, cfg, solve_tree(network, cfg)))
-        assert outcome(lambda: evaluate_configuration(network, cfg)) == expected
         if isinstance(expected[0], ComplianceReport):
             wanted = expected[0].compliant
         elif expected[0] in (NotSpanningTreeError, SingularSystemError):
@@ -435,7 +432,6 @@ class TestOraclePath:
         net = singular_leaf_network(detune)
         cfg = net.initial_configuration()
         expected = outcome(lambda: check_compliance(net, cfg, solve_tree(net, cfg)))
-        assert outcome(lambda: evaluate_configuration(net, cfg)) == expected
         assert (expected[0] is SingularSystemError) == (detune < 1e-12)
         singular = expected[0] is SingularSystemError
         assert ComplianceOracle(net).passes(cfg) == (not singular and expected[0].compliant)
@@ -449,7 +445,6 @@ class TestTolerance:
         for call in (
             lambda: ComplianceOracle(sevenbus, tol),
             lambda: check_compliance(sevenbus, cfg, solution, tol),
-            lambda: evaluate_configuration(sevenbus, cfg, tol),
             lambda: check_n1(sevenbus, 1, tol),
         ):
             with pytest.raises(ValueError, match="tol must be finite and non-negative"):
@@ -461,19 +456,18 @@ class TestTolerance:
 
 class TestCompliance:
     def test_fixture_base_compliant(self, sevenbus):
-        report = evaluate_configuration(sevenbus, sevenbus.initial_configuration())
+        report = full_report(sevenbus, sevenbus.initial_configuration())
         assert report.compliant
         assert not report.voltage_violations
         assert not report.current_violations
 
     def test_swap_to_spare_loop_compliant(self, sevenbus):
         cfg = tree_config({1, 3, 4, 6, 7, 8})  # spare {3,6} in, {2,3} out
-        report = evaluate_configuration(sevenbus, cfg)
-        assert report.compliant
+        assert compliant(sevenbus, cfg)
 
     def test_zero_rated_edge_violates_under_load(self, sevenbus):
         cfg = tree_config({1, 2, 3, 5, 7, 8})  # node 4 fed through the zero-rated spare
-        report = evaluate_configuration(sevenbus, cfg)
+        report = full_report(sevenbus, cfg)
         assert not report.compliant
         assert [v[0] for v in report.current_violations] == [5]
         assert report.current_violations[0][1] > 0.1
@@ -497,14 +491,13 @@ class TestCompliance:
             assert abs(injection - inflow) < 1e-6 * max_branch
 
     def test_report_serializes(self, sevenbus):
-        report = evaluate_configuration(sevenbus, sevenbus.initial_configuration())
-        doc = report.as_dict()
+        doc = full_report(sevenbus, sevenbus.initial_configuration()).as_dict()
         assert doc["compliant"] is True
         assert set(doc["currents"]) == {str(e) for e in sevenbus.active_ids}
 
     def test_equal_voltages_zero_currents(self):
         net = make_network(3, [(0, 1), (1, 2)], {1, 2}, loads={1: 0j, 2: 0j})
-        report = evaluate_configuration(net, net.initial_configuration())
+        report = full_report(net, net.initial_configuration())
         assert report.compliant
         assert all(abs(i) < 1e-9 for i in report.currents.values())
 
@@ -533,7 +526,7 @@ class TestProblemEdges:
     def test_filter_soundness_on_fixture_trees(self, sevenbus):
         # with every edge in the problem set the filtered and full checks agree
         cfg = sevenbus.initial_configuration()
-        report = evaluate_configuration(sevenbus, cfg)
+        report = full_report(sevenbus, cfg)
         filtered = problem_edges(sevenbus) & cfg.edges
         violating = {eid for eid, _, _ in report.current_violations}
         assert violating <= filtered
@@ -613,14 +606,14 @@ def branchy_grids(draw):
 
 class TestOracleVerdict:
     """``ComplianceOracle.passes``, which re-solves only the branches a
-    configuration touches, against the full report of
-    ``evaluate_configuration``, with a non-tree or singular configuration
-    read as non-compliant."""
+    configuration touches, against the full report of ``solve_tree`` and
+    ``check_compliance``, with a non-tree or singular configuration read as
+    non-compliant."""
 
     @staticmethod
     def reference(network, cfg, oracle):
         try:
-            return evaluate_configuration(network, cfg, admittances=oracle.admittances).compliant
+            return check_compliance(network, cfg, solve_tree(network, cfg, oracle.admittances)).compliant
         except (NotSpanningTreeError, SingularSystemError):
             return False
 

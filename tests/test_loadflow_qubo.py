@@ -14,7 +14,7 @@ from gridsec.n1qubo import (
     rounded_reference_bits,
 )
 
-from conftest import make_network, spanning_trees
+from conftest import compliant, make_network, spanning_trees
 
 CFG_GOOD = frozenset({1, 3, 4, 6, 7, 8})   # spare {3,6} in, {2,3} out
 CFG_BAD = frozenset({1, 2, 3, 5, 6, 8})    # zero-rated {4,6} carries the big load
@@ -282,10 +282,8 @@ class TestSeparationShape:
         net = self.three_bus()
         good = Configuration(frozenset({1, 2}))
         bad = Configuration(frozenset({1, 3}))
-        from gridsec.loadflow import evaluate_configuration
-
-        assert evaluate_configuration(net, good).compliant
-        assert not evaluate_configuration(net, bad).compliant
+        assert compliant(net, good)
+        assert not compliant(net, bad)
 
         q_good, l_good = build_loadflow_qubo(net, good, bits, bits, bits)
         q_bad, _ = build_loadflow_qubo(net, bad, bits, bits, bits)

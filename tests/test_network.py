@@ -17,6 +17,14 @@ from gridsec.network import (
 from conftest import make_network
 
 
+def ring_feeder():
+    """OS node 0 feeding the chains 0-1-2-3 and 0-4-5-6, closed into rings by
+    the open ties 3-6 and 2-5."""
+    return make_network(
+        7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (3, 6), (2, 5)], {1, 2, 3, 4, 5, 6}
+    )
+
+
 class TestParsing:
     def test_bundled_fixture_shape(self, sevenbus):
         assert len(sevenbus.nodes) == 7
@@ -118,6 +126,19 @@ class TestParsing:
         with pytest.raises(ParseError, match="active must be true or false"):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [1.7, "3", True, None])
+    @pytest.mark.parametrize("kind,key", [("nodes", "id"), ("edges", "id"), ("edges", "n"), ("edges", "m")])
+    def test_non_integer_ids_rejected(self, sevenbus, kind, key, bad):
+        doc = sevenbus.as_dict()
+        doc[kind][0][key] = bad
+        with pytest.raises(ParseError, match=f"{kind}\\[0\\]: {key} must be an integer"):
+            parse_network(json.dumps(doc))
+
+    def test_integral_float_id_accepted(self, sevenbus):
+        doc = sevenbus.as_dict()
+        doc["nodes"][0]["id"] = float(doc["nodes"][0]["id"])
+        assert parse_network(json.dumps(doc)).as_dict() == sevenbus.as_dict()
+
     def test_endpoint_order_normalized(self):
         from gridsec.network import Edge
 
@@ -162,25 +183,29 @@ class TestFundamentalCycles:
         with pytest.raises(ValueError, match="spanning tree"):
             fundamental_cycles(sevenbus, Configuration(sevenbus.active_ids - {2}))
 
-    def test_each_inactive_edge_closes_one_cycle(self, sevenbus):
-        cfg = sevenbus.initial_configuration()
-        for eid, cycle in fundamental_cycles(sevenbus, cfg).items():
-            edge = sevenbus.edge_by_id[eid]
-            # the cycle edges plus the inactive edge touch every node twice
-            touched: dict[int, int] = {}
-            for member in cycle | {eid}:
-                for end in sevenbus.edge_by_id[member].endpoints:
-                    touched[end] = touched.get(end, 0) + 1
-            assert all(count == 2 for count in touched.values())
-            assert edge.n in touched and edge.m in touched
+    def test_each_inactive_edge_closes_one_cycle(self, sevenbus, demo_k1, demo_k2):
+        for net in (sevenbus, demo_k1, demo_k2, ring_feeder()):
+            cfg = net.initial_configuration()
+            cycles = fundamental_cycles(net, cfg)
+            assert set(cycles) == net.inactive_ids
+            for eid, cycle in cycles.items():
+                edge = net.edge_by_id[eid]
+                # the cycle edges plus the inactive edge touch every node twice
+                touched: dict[int, int] = {}
+                for member in cycle | {eid}:
+                    for end in net.edge_by_id[member].endpoints:
+                        touched[end] = touched.get(end, 0) + 1
+                assert all(count == 2 for count in touched.values())
+                assert edge.n in touched and edge.m in touched
 
-    def test_swap_along_cycle_restores_tree(self, sevenbus):
-        # any cycle member may be traded for the inactive edge
-        cfg = sevenbus.initial_configuration()
-        for eid, cycle in fundamental_cycles(sevenbus, cfg).items():
-            for member in cycle:
-                swapped = apply_switchover(cfg, Switchover.of([eid], [member]))
-                assert is_spanning_tree(sevenbus, swapped)
+    def test_swap_along_cycle_restores_tree(self, sevenbus, demo_k1, demo_k2):
+        # any cycle member may be traded for the inactive edge, and no other
+        for net in (sevenbus, demo_k1, demo_k2, ring_feeder()):
+            cfg = net.initial_configuration()
+            for eid, cycle in fundamental_cycles(net, cfg).items():
+                for member in cfg.edges:
+                    swapped = apply_switchover(cfg, Switchover.of([eid], [member]))
+                    assert is_spanning_tree(net, swapped) == (member in cycle)
 
 
 class TestSwitchover:
