@@ -4,9 +4,9 @@ verdict (:meth:`ComplianceOracle.passes`, which re-solves only the feeder
 branches a switchover touches), and assemble a per-edge security verdict.
 
 Step 1 covers every active edge that a single switchover can fix.  Step 2
-sweeps the leftovers with growing k; a passing multi-switch tree witnesses
-every edge it deactivates, so one load-flow call can clear several edges.
-Both steps map each witnessed edge to its switchover.
+streams, per leftover edge and growing k, the trees deactivating it up to
+the first pass, which witnesses every edge it deactivates, so one load-flow
+call can clear several edges.  Both map each witnessed edge to its switchover.
 
 The enumeration never runs a connectivity check.  For a tree T, inactive
 edges A = (a_1..a_k) and tree edges D = (d_1..d_k) with d_j in C(a_j), the
@@ -92,23 +92,33 @@ def enumerate_reconfigurations(
         outside = sorted(restrict_to - cfg.edges)
         raise ValueError(f"cannot restrict to edges {outside}: not in the configuration")
 
-    entries: list[tuple[Switchover, Configuration]] = []
-    for combo in itertools.combinations(sorted(cycles), k):
-        rows = [cycles[x] for x in combo]
-        activations = frozenset(combo)
-        seen: set[frozenset[int]] = set()
-        for choice in itertools.product(*map(sorted, rows)):
-            if restrict_to is not None and restrict_to.isdisjoint(choice):
-                continue
-            if not _exchange_is_tree(rows, choice):
-                continue
-            deactivations = frozenset(choice)
-            if deactivations in seen:
-                continue
-            seen.add(deactivations)
-            switch = Switchover(activations, deactivations)
-            entries.append((switch, Configuration(cfg.edges - deactivations | activations)))
+    entries = _reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to)
     return ReconfigurationList(tuple(entries), k=k, restricted_to=restrict_to)
+
+
+def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: frozenset[int]):
+    """Lazily, in :func:`enumerate_reconfigurations`' order and unchecked, its
+    entries deactivating an edge of ``restrict_to``.  Combinations whose rows
+    all miss it are skipped, and a choice whose first k - 1 edges miss it
+    draws its last edge from ``restrict_to`` only."""
+    for combo in itertools.combinations(sorted(cycles), k):
+        *heads, last = rows = [cycles[x] for x in combo]
+        if all(map(restrict_to.isdisjoint, rows)):
+            continue
+        lasts, hits = sorted(last), sorted(last & restrict_to)
+        activations = frozenset(combo)
+        kept = cfg.edges | activations
+        seen: set[frozenset[int]] = set()
+        for head in itertools.product(*map(sorted, heads)):
+            for d in hits if restrict_to.isdisjoint(head) else lasts:
+                choice = (*head, d)
+                if not _exchange_is_tree(rows, choice):
+                    continue
+                deactivations = frozenset(choice)
+                if deactivations in seen:
+                    continue
+                seen.add(deactivations)
+                yield Switchover(activations, deactivations), Configuration(kept - deactivations)
 
 
 def _exchange_is_tree(rows: list[frozenset[int]], choice: tuple[int, ...]) -> bool:
@@ -161,8 +171,9 @@ def step2_multi_switch(
 ) -> dict[int, Switchover]:
     """Multi-switchover sweep over the edges step 1 could not clear.
 
-    A passing reconfiguration witnesses every edge it deactivates, and
-    already-witnessed edges are skipped on later iterations.
+    Each failing edge, in id order and unless witnessed, queries the trees
+    deactivating it in canonical order until one passes, witnessing all its
+    deactivations; a repeated tree counts as a query but is not re-solved.
     """
     if k < 2:
         raise ValueError(f"multi-switch step needs k >= 2, got {k}")
@@ -170,22 +181,23 @@ def step2_multi_switch(
         raise ValueError("remaining edges must be active edges")
     oracle = oracle or ComplianceOracle(network)
     witnesses: dict[int, Switchover] = {}
-    if not remaining:
+    if not remaining or k > len(network.inactive_ids):
         return witnesses
     base = network.initial_configuration()
-    if k > len(network.inactive_ids):
-        return witnesses
-    candidates = enumerate_reconfigurations(network, base, k, restrict_to=remaining)
+    cycles = fundamental_cycles(network, base)
+    failed: set[Switchover] = set()  # a passing tree ends every scan it could recur in
     for failing_edge in sorted(remaining):
         if failing_edge in witnesses:
             continue
-        for switch, candidate in candidates:
-            if failing_edge not in switch.deactivate:
-                continue
-            if oracle.passes(candidate):
+        for switch, candidate in _reconfigurations(cycles, base, k, frozenset({failing_edge})):
+            if switch in failed:
+                oracle.calls += 1  # a repeated query is still a query
+            elif oracle.passes(candidate):
                 for covered in sorted(switch.deactivate):
                     witnesses.setdefault(covered, switch)
                 break
+            else:
+                failed.add(switch)
     return witnesses
 
 

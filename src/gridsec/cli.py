@@ -56,6 +56,8 @@ def _weights_from(args) -> n1qubo.PenaltyWeights:
     if not getattr(args, "weights", None):
         return n1qubo.PenaltyWeights()
     raw = json.loads(args.weights)
+    if not isinstance(raw, dict):
+        raise ValueError(f"--weights must be a JSON object, got {args.weights}")
     allowed = {f.name for f in dataclasses.fields(n1qubo.PenaltyWeights)}
     unknown = set(raw) - allowed
     if unknown:

@@ -9,7 +9,7 @@ Every configuration is a spanning tree, so the balance matrix is a tree
 Laplacian plus diagonal load admittances.  It is solved exactly in O(n) by
 the backward/forward sweep of radial load flow (Shirmohammadi et al., IEEE
 TPWRS 1988): MSR nodes are eliminated leaf first toward the fixed OS nodes,
-then one forward pass substitutes back.  One position-indexed sweep and one
+then one forward pass substitutes back.  One backward elimination and one
 bounds rule serve every caller.  :func:`solve_tree` adds the nodal-balance
 residual and a voltage dict by node id, and :func:`check_compliance` builds
 the full report from them.
@@ -87,8 +87,9 @@ class Admittances:
     Nodes are numbered by their position in ``network.nodes``.  ``edges`` maps
     each edge id, in increasing order, to ``(n, m, 1/z, |1/z|, z, i_max)`` and
     ``incident`` lists each node's ``(edge id, other end, 1/z, |1/z|)`` by edge
-    id.  ``loads``, ``fixed`` (``None`` for an MSR node) and ``bands`` hold
-    each node's load admittance, fixed voltage and ``(u_min, u_max)``.
+    id.  ``loads``, ``load_scale``, ``fixed`` (``None`` for an MSR node) and
+    ``bands`` hold each node's load admittance, its magnitude, fixed voltage
+    and ``(u_min, u_max)``.
     """
 
     node_ids: tuple[int, ...]
@@ -96,6 +97,7 @@ class Admittances:
     edges: dict[int, tuple[int, int, complex, float, complex, float]]
     incident: tuple[tuple[tuple[int, int, complex, float], ...], ...]
     loads: tuple[complex, ...]
+    load_scale: tuple[float, ...]
     fixed: tuple[complex | None, ...]
     bands: tuple[tuple[float, float], ...]
 
@@ -111,15 +113,14 @@ class Admittances:
             edges[edge.id] = (i, j, y, abs(y), edge.z, edge.i_max)
             incident[i].append((edge.id, j, y, abs(y)))
             incident[j].append((edge.id, i, y, abs(y)))
+        loads = tuple(0j if n.kind == OS else admittance(n.load, n.u_nom) for n in network.nodes)
         return cls(
             node_ids=node_ids,
             root=position[network.os_ids[0]],
             edges=edges,
             incident=tuple(map(tuple, incident)),
-            loads=tuple(
-                0j if node.kind == OS else admittance(node.load, node.u_nom)
-                for node in network.nodes
-            ),
+            loads=loads,
+            load_scale=tuple(map(abs, loads)),
             fixed=tuple(
                 complex(node.u_nom) if node.kind == OS else None for node in network.nodes
             ),
@@ -270,18 +271,16 @@ def _tree(adm: Admittances, active: frozenset[int], nodes: frozenset[int] | None
     return order, up_of, up_edge, y_up, y_up_abs
 
 
-def _sweep(adm: Admittances, cfg: Configuration, nodes: frozenset[int] | None = None):
-    """Backward/forward sweep over :func:`_tree`'s order: voltages by node
-    position, with the order, parents, parent-cable ids and admittances."""
-    order, up_of, up_edge, y_up, y_up_abs = _tree(adm, cfg.edges, nodes)
+def _sweep(adm: Admittances, order: list[int], up_of: list[int], y_up: list, y_up_abs: list):
+    """Backward elimination over :func:`_tree`'s order, leaf first: after it
+    ``U_v = offset[v] + gain[v] * U_parent`` for every MSR node v, which the
+    forward substitution of each caller evaluates root first."""
     loads, fixed = adm.loads, adm.fixed
     size = len(fixed)
-
-    # after elimination U_v = offset[v] + gain[v] * U_parent
     rest = list(loads)
     offset = [0j] * size
     gain = [0j] * size
-    row_scale = [abs(y) for y in loads]
+    row_scale = list(adm.load_scale)
     for v in reversed(order):
         up, y = up_of[v], y_up[v]
         parent_free = fixed[up] is None
@@ -303,12 +302,7 @@ def _sweep(adm: Admittances, cfg: Configuration, nodes: frozenset[int] | None = 
             rest[up] += rest[v] * t
             offset[up] += y * offset[v]
             row_scale[up] += y_up_abs[v]
-
-    u = list(fixed)
-    for v in order:
-        if fixed[v] is None:
-            u[v] = offset[v] + gain[v] * u[up_of[v]]
-    return u, order, up_of, up_edge, y_up
+    return offset, gain
 
 
 def _compliance(adm: Admittances, cfg: Configuration, u: list, tol: float) -> ComplianceReport:
@@ -363,12 +357,15 @@ def solve_tree(
     """
     adm = admittances or Admittances.of(network)
     _require_known(adm, cfg.edges)
-    u, order, up_of, _, y_up = _sweep(adm, cfg)
+    order, up_of, _, y_up, y_up_abs = _tree(adm, cfg.edges)
+    offset, gain = _sweep(adm, order, up_of, y_up, y_up_abs)
     loads, fixed = adm.loads, adm.fixed
+    u = list(fixed)
     balance = [0j] * len(fixed)
     for v in order:
         up = up_of[v]
         if fixed[v] is None:
+            u[v] = offset[v] + gain[v] * u[up]
             balance[v] += loads[v] * u[v]
         current = y_up[v] * (u[v] - u[up])
         balance[v] += current
@@ -426,7 +423,8 @@ class ComplianceOracle:
     A branch is the base tree's subtree under one child of the root.  The
     sweep solves it from its own cables and the fixed root voltage alone, so
     a branch with no endpoint of a switched cable keeps the verdict solved
-    here once (False on a pivot failure).
+    here once (False on a pivot failure).  Bounds are checked as the forward
+    substitution reaches each node, so an overloaded head cable ends a query.
     """
 
     def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
@@ -468,20 +466,24 @@ class ComplianceOracle:
         return self._verdict(cfg, frozenset().union(*map(self._members.__getitem__, touched)))
 
     def _verdict(self, cfg: Configuration, nodes: frozenset[int]) -> bool:
-        """Bounds on the root, ``nodes`` and their parent cables under ``cfg``."""
+        """Bounds on ``nodes`` and their parent cables under ``cfg``, each node
+        checked as soon as the forward substitution reaches it."""
         adm = self.admittances
         try:
-            u, order, _, up_edge, _ = _sweep(adm, cfg, nodes)
+            order, up_of, up_edge, y_up, y_up_abs = _tree(adm, cfg.edges, nodes)
+            offset, gain = _sweep(adm, order, up_of, y_up, y_up_abs)
         except (NotSpanningTreeError, SingularSystemError):
             return False
         volts, amps = self._limits
-        for v in order:
+        edges, fixed = adm.edges, adm.fixed
+        u = list(fixed)
+        for v in order[1:]:  # the root sits at u_nom = u_min = u_max, inside its band
+            if fixed[v] is None:
+                u[v] = offset[v] + gain[v] * u[up_of[v]]
             low, high = volts[v]
             mag = abs(u[v])
             if mag < low or mag > high:
                 return False
-        edges = adm.edges
-        for v in order[1:]:
             eid = up_edge[v]
             i, j, _, _, z, _ = edges[eid]
             if abs((u[j] - u[i]) / z) > amps[eid]:

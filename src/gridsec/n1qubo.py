@@ -116,8 +116,10 @@ class PenaltyWeights:
     def validated(self) -> PenaltyWeights:
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"penalty weight {name} must be positive, got {value}")
+            if value is None and name in ("dw", "root", "con", "ind", "aux"):  # a default fills these
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+                raise ValueError(f"penalty weight {name} must be a finite positive number, got {value!r}")
         return self
 
 
@@ -261,6 +263,8 @@ def _tree_variables(
 ) -> TreeVarLayout:
     if levels < 2:
         raise ValueError(f"need at least 2 depth levels, got {levels}")
+    if levels > (cap := default_levels(network)):
+        raise ValueError(f"need at most {cap} depth levels (the node count), got {levels}")
     if failing_edge is not None:
         if failing_edge not in network.edge_by_id:
             raise ValueError(f"unknown edge id {failing_edge}")

@@ -8,6 +8,7 @@ from gridsec.classical import (
     INSECURE,
     SECURE_K1,
     SECURE_KN,
+    _reconfigurations,
     check_n1,
     enumerate_reconfigurations,
     step1_single_switch,
@@ -25,6 +26,7 @@ from gridsec.network import (
 )
 
 from conftest import compliant, make_network, spanning_trees
+from test_loadflow import branchy_grids
 
 
 def reference_enumeration(network, cfg, k, restrict_to=None):
@@ -49,6 +51,28 @@ def reference_enumeration(network, cfg, k, restrict_to=None):
             seen.add(candidate.edges)
             entries.append((switch, candidate))
     return entries
+
+
+def reference_step2(network, remaining, k, oracle):
+    """Step 2 as a scan of the materialised list: every failing edge, in
+    order and unless already witnessed, queries each listed tree that
+    deactivates it until one passes, and a repeated tree is queried again."""
+    witnesses = {}
+    if not remaining or k > len(network.inactive_ids):
+        return witnesses
+    base = network.initial_configuration()
+    candidates = enumerate_reconfigurations(network, base, k, restrict_to=remaining)
+    for failing_edge in sorted(remaining):
+        if failing_edge in witnesses:
+            continue
+        for switch, candidate in candidates:
+            if failing_edge not in switch.deactivate:
+                continue
+            if oracle.passes(candidate):
+                for covered in sorted(switch.deactivate):
+                    witnesses.setdefault(covered, switch)
+                break
+    return witnesses
 
 
 @st.composite
@@ -177,6 +201,19 @@ class TestEnumeration:
                 produced = enumerate_reconfigurations(net, cfg, k, restrict_to)
                 assert list(produced) == reference_enumeration(net, cfg, k, restrict_to)
 
+    @settings(max_examples=100, deadline=None)
+    @given(branchy_grids())
+    def test_per_edge_stream_is_the_filtered_list(self, net):
+        """Streaming with ``restrict_to={f}`` yields the full list's entries
+        that deactivate f, in the full list's order."""
+        cfg = net.initial_configuration()
+        cycles = fundamental_cycles(net, cfg)
+        for k in range(1, min(3, len(cycles)) + 1):
+            full = list(enumerate_reconfigurations(net, cfg, k))
+            for f in sorted(cfg.edges):
+                streamed = list(_reconfigurations(cycles, cfg, k, frozenset({f})))
+                assert streamed == [entry for entry in full if f in entry[0].deactivate]
+
     @pytest.mark.parametrize("edge", [5, 99])
     def test_restrict_outside_configuration_rejected(self, sevenbus, edge):
         # 5 is an inactive spare, 99 no edge at all
@@ -256,6 +293,30 @@ class TestStepTwo:
             and compliant(sevenbus, Configuration(tree))
         ]
         assert (6 in witnesses) == bool(passing)
+
+
+class TestStepTwoReference:
+    """Step 2 against :func:`reference_step2`: the same witnesses and the
+    same query count, repeats included, at k = 2 and 3."""
+
+    @staticmethod
+    def assert_same_as_reference(net):
+        for k in (2, 3):
+            for remaining in (net.active_ids, net.active_ids - set(step1_single_switch(net))):
+                oracle, reference = ComplianceOracle(net), ComplianceOracle(net)
+                got = step2_multi_switch(net, frozenset(remaining), k, oracle)
+                assert got == reference_step2(net, frozenset(remaining), k, reference)
+                assert oracle.calls == reference.calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(branchy_grids(), grids_with_spares()))
+    def test_random_grids(self, net):
+        self.assert_same_as_reference(net)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_NETWORKS))
+    def test_pinned_networks(self, name):
+        # sevenbus and demo_double_switch keep INSECURE edges at k = 2
+        self.assert_same_as_reference(PINNED_NETWORKS[name]())
 
 
 class TestFullCheck:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from gridsec.cli import main
 from gridsec.datasets import bundled_path
@@ -10,13 +11,31 @@ from gridsec.qubo import Qubo
 SEVENBUS = str(bundled_path("sevenbus"))
 DEMO_K1 = str(bundled_path("demo_single_switch"))
 
-# QUBO size flags no builder accepts, each with its one-line error
+# QUBO size flags that `qubo` and `anneal` reject, each with its one-line error; the
+# heights come first.  |V| + 1 levels is the smallest height past the cap
+# (sevenbus has 7 nodes), so the check allocates nothing to fail.
 BAD_SIZES = (
     (["--height", "0"], "need at least 2 depth levels, got 0"),
     (["--height", "1"], "need at least 2 depth levels, got 1"),
+    (["--height", "8"], "need at most 7 depth levels (the node count), got 8"),
     (["--bits-u", "0"], "bits_real must be >= 1, got 0"),
     (["--bits-ui", "0"], "bits_imag must be >= 1, got 0"),
     (["--bits-i", "-1"], "bits_current must be >= 1, got -1"),
+)
+
+# penalty weights that `qubo` and `anneal` reject, each with its one-line error
+BAD_WEIGHTS = (
+    ('{"dw": "x"}', "penalty weight dw must be a finite positive number, got 'x'"),
+    ('{"u_real": null}', "penalty weight u_real must be a finite positive number, got None"),
+    ('{"current": null}', "penalty weight current must be a finite positive number, got None"),
+    ('{"ind": true}', "penalty weight ind must be a finite positive number, got True"),
+    ('{"root": 0}', "penalty weight root must be a finite positive number, got 0"),
+    ('{"con": -2.5}', "penalty weight con must be a finite positive number, got -2.5"),
+    ('{"aux": NaN}', "penalty weight aux must be a finite positive number, got nan"),
+    ('{"u_imag": Infinity}', "penalty weight u_imag must be a finite positive number, got inf"),
+    ('{"dw": [1]}', "penalty weight dw must be a finite positive number, got [1]"),
+    ('[1]', "--weights must be a JSON object, got [1]"),
+    ('5', "--weights must be a JSON object, got 5"),
 )
 
 
@@ -226,9 +245,27 @@ class TestQubo:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("mode", [["--tree-only"], ["--failing-edge", "2"]], ids=["tree", "n1"])
+    @pytest.mark.parametrize("weights, message", BAD_WEIGHTS, ids=[w for w, _ in BAD_WEIGHTS])
+    def test_bad_weight_values_are_input_errors(self, capsys, tmp_path, mode, weights, message):
+        out_path = tmp_path / "problem.qubo"
+        code, out, err = run(
+            capsys, "qubo", "--network", SEVENBUS, *mode, "--weights", weights, "--out", str(out_path),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
+
+    def test_resolved_weights_may_be_null(self, capsys, tmp_path):
+        out_path = tmp_path / "problem.qubo"
+        weights = '{"dw": null, "root": null, "con": null, "ind": null, "aux": null}'
+        code, _, _ = run(capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2",
+                         "--weights", weights, "--out", str(out_path))
+        assert code == 0
+        assert out_path.exists()
+
     def test_bad_sizes_are_input_errors(self, capsys, tmp_path):
         out_path = tmp_path / "problem.qubo"
-        heights = [(["--tree-only", *flags], message) for flags, message in BAD_SIZES[:2]]
+        heights = [(["--tree-only", *flags], message) for flags, message in BAD_SIZES[:3]]
         for flags, message in [*BAD_SIZES, *heights]:
             code, out, err = run(
                 capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2",
@@ -288,12 +325,22 @@ class TestAnneal:
             assert err == f"error: {message}\n"
 
     def test_bad_sizes_are_input_errors(self, capsys):
-        for flags, message in BAD_SIZES:
+        heights = [(["--tree-only", *flags], message) for flags, message in BAD_SIZES[:3]]
+        for flags, message in [*BAD_SIZES, *heights]:
             code, out, err = run(
                 capsys, "anneal", "--network", SEVENBUS, "--failing-edge", "2",
                 "--reads", "2", "--sweeps", "10", "--seed", "5", *flags,
             )
             assert (code, out, err) == (1, "", f"error: {message}\n"), flags
+
+    def test_bad_weight_values_are_input_errors(self, capsys):
+        for mode in ([], ["--tree-only"]):
+            for weights, message in BAD_WEIGHTS[:2]:
+                code, out, err = run(
+                    capsys, "anneal", "--network", SEVENBUS, "--failing-edge", "2",
+                    "--reads", "2", "--sweeps", "10", "--seed", "5", "--weights", weights, *mode,
+                )
+                assert (code, out, err) == (1, "", f"error: {message}\n"), (weights, mode)
 
     def test_beta_window_flags(self, capsys, monkeypatch):
         monkeypatch.delenv("GRIDSEC_SEED", raising=False)

@@ -640,3 +640,18 @@ class TestOracleVerdict:
             with pytest.raises(ValueError, match=rf"unknown edge ids \[{unknown}\]"):
                 oracle.passes(Configuration(cfg))
         assert oracle.calls == len(configs) + 2
+
+    @pytest.mark.parametrize("rating, passes", [(30.0, False), (60.0, True)])
+    def test_deep_cable_overload_is_seen(self, rating, passes):
+        """Moving node 6 from the branch 0-5-6 to the tail of 0-1-2-3-4 adds
+        its load to every cable of the long branch.  Only the fourth one,
+        (3, 4), is rated near that flow, so its verdict alone decides."""
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (4, 6)]
+        net = make_network(7, pairs, {1, 2, 3, 4, 5, 6}, i_max={4: rating})
+        oracle = ComplianceOracle(net)
+        assert oracle.passes(net.initial_configuration())
+        moved = Configuration.of([1, 2, 3, 4, 5, 7])
+        report = full_report(net, moved)
+        assert report.voltage_violations == ()
+        assert [eid for eid, *_ in report.current_violations] == ([] if passes else [4])
+        assert oracle.passes(moved) is passes
