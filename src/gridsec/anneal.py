@@ -12,18 +12,18 @@ Philox4x64-10.
 The index-order sweep runs as a wavefront schedule.  A variable's front is
 one more than the highest front of any coupled variable with a lower
 index, so no two variables of a front are coupled and every coupled pair
-keeps its order.  A whole front is proposed and applied at once, and its
-flips reach the local fields of its neighbours in one matrix product
-(kept-up-to-date fields as in Isakov et al., arXiv:1401.1084); the
-zero-temperature final pass reuses the fronts.  Variable ``i`` still
-compares against row ``i`` of the sweep's ``(n, reads)`` block of
-uniforms, so the Philox consumption order is unchanged: one ``(reads, n)``
-integer block for the initial states, then one ``(n, reads)`` block of
-doubles per sweep.  A front therefore makes the sequential sweep's accept
-decisions.  Only the order in which a field's increments are summed
-differs: with coefficients whose partial sums are exact (small integers)
-the chain is identical, and with general floats a decision can differ only
-where it lies within rounding of its threshold.
+keeps its order.  A whole front is proposed and applied at once: its
+energy changes come from the current spins in one matrix product, so a
+flip writes nothing but its own spin, and the zero-temperature final pass
+reuses the fronts.  Variable ``i`` still compares against row ``i`` of the
+sweep's ``(n, reads)`` block of uniforms, so the Philox consumption order
+is unchanged: one ``(reads, n)`` integer block for the initial states,
+then one ``(n, reads)`` block of doubles per sweep.  A front therefore
+makes the sequential sweep's accept decisions, up to the rounding of the
+energy change: with coefficients whose partial sums are exact (small
+integers) the chain is identical, and with general floats a decision can
+differ only where the change lies within rounding of its threshold, as
+at an exact tie between energy-neutral bits.
 """
 
 from __future__ import annotations
@@ -59,14 +59,15 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.reads < 1:
             raise ValueError(f"reads must be >= 1, got {self.reads}")
-        if not 1 <= self.sweeps_per_beta <= self.sweeps:
+        spb = self.sweeps_per_beta
+        if not 1 <= spb <= self.sweeps or self.sweeps % spb:
             raise ValueError(
-                f"need sweeps >= sweeps_per_beta >= 1, got {self.sweeps}/{self.sweeps_per_beta}"
+                f"need sweeps a multiple of sweeps_per_beta >= 1, got {self.sweeps}/{spb}"
             )
         if self.beta_range is not None:
             lo, hi = self.beta_range
-            if not (0 < lo <= hi):
-                raise ValueError(f"beta range must satisfy 0 < min <= max, got {self.beta_range}")
+            if not (0 < lo <= hi < math.inf):
+                raise ValueError(f"beta range needs finite 0 < min <= max, got {self.beta_range}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class SampleSet:
             unique = states.reshape(0, qubo.n)
             counts = np.zeros(0, dtype=np.int64)
         energies = qubo.energies(unique) if len(unique) else np.zeros(0)
-        order = sorted(range(len(unique)), key=lambda i: (energies[i], unique[i].tobytes()))
+        # np.unique returns the rows in byte order, so a stable sort keeps it on ties
+        order = np.argsort(energies, kind="stable")
         return cls(
             samples=unique[order],
             energies=energies[order],
@@ -157,18 +159,6 @@ def _wavefronts(sym: np.ndarray) -> np.ndarray:
     return fronts
 
 
-def _flip(spins, field_, block: slice, neighbours, couplings, accept) -> bool:
-    """Apply the accepted flips of one front and add them to the local
-    fields of its neighbours.  Returns whether anything flipped."""
-    if not np.count_nonzero(accept):
-        return False
-    spin = spins[block]
-    flips = np.where(accept, spin, 0.0)
-    np.negative(spin, out=spin, where=accept)
-    field_[neighbours] += couplings @ flips
-    return True
-
-
 def simulated_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
     """Single-bit-flip Metropolis annealing, reads vectorized as columns and
     variables swept front by front (see the module docstring)."""
@@ -180,26 +170,27 @@ def simulated_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
 
     diag, sym = _couplings(qubo)
     beta_lo, beta_hi = schedule.beta_range or auto_beta_range(qubo)
-    num_betas = max(1, schedule.sweeps // schedule.sweeps_per_beta)
-    betas = np.geomspace(beta_lo, beta_hi, num_betas)
+    betas = np.geomspace(beta_lo, beta_hi, schedule.sweeps // schedule.sweeps_per_beta)
+    states = rng.integers(0, 2, size=(reads, n))
 
-    states = rng.integers(0, 2, size=(reads, n)).astype(np.float64)
-    field_ = states @ sym
-
-    # Permute once so every front is a contiguous block of rows of the
-    # (variable, read) arrays.  A spin 1 - 2x is both the sign of a flip's
-    # energy change and the flip's step.
+    # With spins s = 1 - 2x, flipping i changes the energy by s_i (c_i + R_i s),
+    # c = diag + rowsum(sym) / 2 and R = -sym / 2.  Permute once so every front
+    # is a contiguous block of rows of the (variable, read) spins, and cut its
+    # rows of R to the contiguous range of columns they couple to.
     fronts = _wavefronts(sym)
     order = np.argsort(fronts, kind="stable")
     cuts = np.searchsorted(fronts[order], np.arange(fronts.max() + 2))
     spins = np.ascontiguousarray(1.0 - 2.0 * states[:, order].T)
-    field_ = np.ascontiguousarray(field_[:, order].T)
-    diag = diag[order][:, None]
+    linear = (diag + 0.5 * sym.sum(axis=1))[order, None]
     sym = sym[np.ix_(order, order)]
     plan = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        neighbours = np.flatnonzero((sym[lo:hi] != 0.0).any(axis=0))
-        plan.append((slice(lo, hi), neighbours, sym[neighbours, lo:hi]))
+        coupled = np.flatnonzero((sym[lo:hi] != 0.0).any(axis=0))
+        a, b = (coupled[0], coupled[-1] + 1) if coupled.size else (lo, lo)
+        plan.append((slice(lo, hi), linear[lo:hi], -0.5 * sym[lo:hi, a:b], slice(a, b)))
+
+    def delta_energy(block, linear, couplings, columns):
+        return spins[block] * (linear + couplings @ spins[columns])
 
     # exp(-beta dE) >= 1 > u wherever exp(min(0, -beta dE)) = 1 > u, so the
     # clamp is left out and its overflow to inf silenced: same decisions
@@ -207,19 +198,20 @@ def simulated_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
         for beta in betas:
             for _ in range(schedule.sweeps_per_beta):
                 uniforms = rng.random((n, reads))[order]
-                for block, neighbours, couplings in plan:
-                    delta_e = spins[block] * (diag[block] + field_[block])
-                    accept = uniforms[block] < np.exp(-beta * delta_e)
-                    _flip(spins, field_, block, neighbours, couplings, accept)
+                for block, *front in plan:
+                    accept = uniforms[block] < np.exp(-beta * delta_energy(block, *front))
+                    np.negative(spins[block], out=spins[block], where=accept)
 
     # final descent pass: zero-temperature sweeps until every read is
     # single-flip stable, so no returned sample sits above its own local floor
     changed = True
     while changed:
         changed = False
-        for block, neighbours, couplings in plan:
-            delta_e = spins[block] * (diag[block] + field_[block])
-            changed |= _flip(spins, field_, block, neighbours, couplings, delta_e < 0.0)
+        for block, *front in plan:
+            accept = delta_energy(block, *front) < 0.0
+            if accept.any():
+                changed = True
+                np.negative(spins[block], out=spins[block], where=accept)
     return SampleSet.from_states(qubo, spins[np.argsort(order)].T < 0.0)
 
 

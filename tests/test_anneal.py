@@ -162,8 +162,27 @@ class TestMatchesReference:
         start = SampleSet.from_states(qubo, rng.integers(0, 2, size=(40, qubo.n)))
         assert_same_samples(post_process(qubo, start), reference_post_process(qubo, start))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_anneal_n1_float_qubo_matches_reference(self, sevenbus, seed):
+        """On the float N-1 QUBO only energy-neutral ties may break otherwise
+        than in the sequential sweep: after descent the histogram and the
+        first energy are the reference's."""
+        qubo, layout = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
+        schedule = AnnealSchedule(
+            seed=seed, reads=50, sweeps=100, sweeps_per_beta=20, beta_range=(0.02, 5.0)
+        )
+        samples = post_process(qubo, simulated_annealing(qubo, schedule))
+        reference = post_process(qubo, reference_annealing(qubo, schedule))
+        assert samples.first[1] == reference.first[1]
+        assert (
+            energy_histogram(qubo, samples, layout).to_csv()
+            == energy_histogram(qubo, reference, layout).to_csv()
+        )
+
     def test_anneal_n1_default_seed_pinned(self, sevenbus):
-        """The benchmark's anneal-n1 job at seed 1, as the sequential sweep gave it."""
+        """The benchmark's anneal-n1 job at seed 1.  The histogram and first
+        energy are the sequential sweep's; the samples digest pins the
+        energy-neutral voltage bits as fields computed from the state set them."""
         qubo, layout = build_n1_qubo(sevenbus, failing_edge=2, levels=4)
         schedule = AnnealSchedule(
             seed=1, reads=50, sweeps=100, sweeps_per_beta=20, beta_range=(0.02, 5.0)
@@ -171,7 +190,7 @@ class TestMatchesReference:
         samples = post_process(qubo, simulated_annealing(qubo, schedule))
         digest = hashlib.sha256(samples.samples.tobytes() + samples.multiplicities.tobytes())
         assert digest.hexdigest() == (
-            "2d82d60144ec6be90f638cbf1ec838dc89dcc1dd169bc510235c31309e49c112"
+            "1c9ef7eadcdb99eac907fa1b39e3285773471b50e6b821a7c108a9d4249a9624"
         )
         assert len(samples) == 50
         assert samples.first[1] == 19.055731935331835
@@ -190,6 +209,18 @@ class TestSchedule:
             AnnealSchedule(seed=1, sweeps=5, sweeps_per_beta=10)
         with pytest.raises(ValueError):
             AnnealSchedule(seed=1, beta_range=(1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "betas", [(0.1, np.inf), (np.inf, np.inf), (0.1, np.nan), (np.nan, 1.0)]
+    )
+    def test_non_finite_beta_rejected(self, betas):
+        with pytest.raises(ValueError, match="beta range needs finite"):
+            AnnealSchedule(seed=1, beta_range=betas)
+
+    def test_sweeps_multiple_of_sweeps_per_beta(self):
+        with pytest.raises(ValueError, match="got 45/20"):
+            AnnealSchedule(seed=1, sweeps=45, sweeps_per_beta=20)
+        assert AnnealSchedule(seed=1, sweeps=40, sweeps_per_beta=20).sweeps == 40
 
     def test_auto_beta_range_scales(self):
         q = Qubo(2, {(0, 0): 4.0, (0, 1): -2.0, (1, 1): 0.5})
@@ -243,6 +274,19 @@ class TestSampler:
         assert list(samples.energies) == sorted(samples.energies)
         energies = qubo.energies(samples.samples)
         assert np.allclose(energies, samples.energies)
+
+
+class TestSampleSet:
+    def test_order_is_energy_then_bytes(self):
+        """Rows sort by energy, ties by their bytes, as a Python sort on
+        (energy, bytes) orders them."""
+        qubo = Qubo(6, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): -1.0, (0, 3): 2.0, (4, 5): -1.0})
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            samples = SampleSet.from_states(qubo, rng.integers(0, 2, size=(30, qubo.n)))
+            keys = [(e, bits.tobytes()) for bits, e in zip(samples.samples, samples.energies)]
+            assert keys == sorted(keys)
+            assert len(set(samples.energies)) < len(samples)  # ties were exercised
 
 
 class TestSteepestDescent:

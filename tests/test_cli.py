@@ -333,6 +333,23 @@ class TestAnneal:
             )
             assert (code, out, err) == (1, "", f"error: {message}\n"), flags
 
+    def test_bad_schedules_are_input_errors(self, capsys):
+        cases = (
+            (["--beta-min", "0.1", "--beta-max", "inf"],
+             "beta range needs finite 0 < min <= max, got (0.1, inf)"),
+            (["--beta-min", "nan", "--beta-max", "1"],
+             "beta range needs finite 0 < min <= max, got (nan, 1.0)"),
+            (["--sweeps", "45", "--sweeps-per-beta", "20"],
+             "need sweeps a multiple of sweeps_per_beta >= 1, got 45/20"),
+        )
+        for flags, message in cases:
+            code, out, err = run(
+                capsys, "anneal", "--network", SEVENBUS, "--failing-edge", "2",
+                "--tree-only", "--height", "4", "--reads", "2", "--sweeps", "40",
+                "--seed", "5", *flags,
+            )
+            assert (code, out, err) == (1, "", f"error: {message}\n"), flags
+
     def test_bad_weight_values_are_input_errors(self, capsys):
         for mode in ([], ["--tree-only"]):
             for weights, message in BAD_WEIGHTS[:2]:
