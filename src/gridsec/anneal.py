@@ -12,18 +12,33 @@ Philox4x64-10.
 The index-order sweep runs as a wavefront schedule.  A variable's front is
 one more than the highest front of any coupled variable with a lower
 index, so no two variables of a front are coupled and every coupled pair
-keeps its order.  A whole front is proposed and applied at once: its
-energy changes come from the current spins in one matrix product, so a
-flip writes nothing but its own spin, and the zero-temperature final pass
-reuses the fronts.  Variable ``i`` still compares against row ``i`` of the
-sweep's ``(n, reads)`` block of uniforms, so the Philox consumption order
-is unchanged: one ``(reads, n)`` integer block for the initial states,
-then one ``(n, reads)`` block of doubles per sweep.  A front therefore
-makes the sequential sweep's accept decisions, up to the rounding of the
-energy change: with coefficients whose partial sums are exact (small
-integers) the chain is identical, and with general floats a decision can
-differ only where the change lies within rounding of its threshold, as
-at an exact tie between energy-neutral bits.
+keeps its order.  A whole front is proposed and applied at once, from the
+current spins s = 1 - 2x in one matrix product, so a flip writes nothing
+but its own spin, and the zero-temperature final pass reuses the fronts.
+
+Flipping variable ``i`` changes the energy by ``dE_i = s_i (c_i + (R s)_i)``,
+and Metropolis accepts when ``u < exp(-beta dE_i)``.  For ``u`` in [0, 1)
+that is ``dE_i < t_i`` with the threshold ``t_i = -ln(u) / beta`` (``u = 0``
+gives ``t = inf``, which accepts), that is ``s_i e_i < 0`` for
+``e_i = (c_i - s_i t_i) + (R s)_i``: the new spin is the sign of ``e_i``.
+A variable is proposed once a sweep, so its spin when its front comes up
+is its spin at the sweep's start.  The bias ``c - s t`` is therefore built
+for the whole sweep at once, and a front is one product, one add and one
+``copysign``, with no ``exp``.
+
+Variable ``i`` still takes its threshold from row ``i`` of the sweep's
+``(n, reads)`` block of uniforms, so the Philox consumption order is the
+sequential sweep's: one ``(reads, n)`` integer block for the initial
+states, then one ``(n, reads)`` block of doubles per sweep.  A front
+therefore makes the sequential sweep's accept decisions up to rounding: a
+decision can differ only where ``dE`` lies within rounding of its
+threshold, a window of about an ulp of the energy scale, so with
+small-integer coefficients (whose field sums are exact) the chain is the
+sequential one in practice.  An exactly energy-neutral bit (``dE = 0``)
+flips on every sweep, as in the sequential sweep, unless its ``t`` is
+below half an ulp of ``c``, which has a probability of about 1e-14 a
+proposal.  The final pass keeps the strict ``dE < 0``, so a tie never
+flips there.
 """
 
 from __future__ import annotations
@@ -72,7 +87,12 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Aggregated samples, ascending by energy then lexicographic bits."""
+    """Aggregated samples, ascending by energy, then by bytes.
+
+    The energy is the float :meth:`Qubo.energies` returns.  Two bitstrings
+    of equal exact energy can read one ulp apart, so the byte order decides
+    only between samples whose float energies are equal.
+    """
 
     samples: np.ndarray
     energies: np.ndarray
@@ -176,42 +196,54 @@ def simulated_annealing(qubo: Qubo, schedule: AnnealSchedule) -> SampleSet:
     # With spins s = 1 - 2x, flipping i changes the energy by s_i (c_i + R_i s),
     # c = diag + rowsum(sym) / 2 and R = -sym / 2.  Permute once so every front
     # is a contiguous block of rows of the (variable, read) spins, and cut its
-    # rows of R to the contiguous range of columns they couple to.
+    # rows of R to the contiguous range of columns they couple to.  Each plan
+    # entry holds views into the buffers, so a front allocates nothing.
     fronts = _wavefronts(sym)
     order = np.argsort(fronts, kind="stable")
     cuts = np.searchsorted(fronts[order], np.arange(fronts.max() + 2))
     spins = np.ascontiguousarray(1.0 - 2.0 * states[:, order].T)
     linear = (diag + 0.5 * sym.sum(axis=1))[order, None]
     sym = sym[np.ix_(order, order)]
+    uniforms, bias, energy = (np.empty((n, reads)) for _ in range(3))
     plan = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         coupled = np.flatnonzero((sym[lo:hi] != 0.0).any(axis=0))
         a, b = (coupled[0], coupled[-1] + 1) if coupled.size else (lo, lo)
-        plan.append((slice(lo, hi), linear[lo:hi], -0.5 * sym[lo:hi, a:b], slice(a, b)))
+        plan.append((-0.5 * sym[lo:hi, a:b], spins[a:b], energy[lo:hi], bias[lo:hi], spins[lo:hi]))
 
-    def delta_energy(block, linear, couplings, columns):
-        return spins[block] * (linear + couplings @ spins[columns])
-
-    # exp(-beta dE) >= 1 > u wherever exp(min(0, -beta dE)) = 1 > u, so the
-    # clamp is left out and its overflow to inf silenced: same decisions
-    with np.errstate(over="ignore"):
+    # the new spin is the sign of e = (c - s t) + R s with t = -ln(u) / beta,
+    # the bias c - s t built once a sweep (see the module docstring); u = 0
+    # gives t = inf, which accepts
+    with np.errstate(divide="ignore"):
         for beta in betas:
             for _ in range(schedule.sweeps_per_beta):
-                uniforms = rng.random((n, reads))[order]
-                for block, *front in plan:
-                    accept = uniforms[block] < np.exp(-beta * delta_energy(block, *front))
-                    np.negative(spins[block], out=spins[block], where=accept)
+                rng.random(out=uniforms)
+                np.log(uniforms, out=uniforms)
+                # the indices are in range; "clip" lets take write into out unbuffered
+                np.take(uniforms, order, axis=0, out=bias, mode="clip")
+                bias *= spins
+                bias *= 1.0 / beta
+                bias += linear
+                for couplings, columns, e, b, s in plan:
+                    np.matmul(couplings, columns, out=e)
+                    e += b
+                    np.copysign(1.0, e, out=s)
 
     # final descent pass: zero-temperature sweeps until every read is
-    # single-flip stable, so no returned sample sits above its own local floor
+    # single-flip stable, so no returned sample sits above its own local floor;
+    # an exact tie dE = 0 must not flip here, hence the strict mask
+    np.copyto(bias, linear)
     changed = True
     while changed:
         changed = False
-        for block, *front in plan:
-            accept = delta_energy(block, *front) < 0.0
+        for couplings, columns, e, b, s in plan:
+            np.matmul(couplings, columns, out=e)
+            e += b
+            e *= s
+            accept = e < 0.0
             if accept.any():
                 changed = True
-                np.negative(spins[block], out=spins[block], where=accept)
+                np.negative(s, out=s, where=accept)
     return SampleSet.from_states(qubo, spins[np.argsort(order)].T < 0.0)
 
 

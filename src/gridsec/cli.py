@@ -55,7 +55,10 @@ def _seed_from(args) -> int:
 def _weights_from(args) -> n1qubo.PenaltyWeights:
     if not getattr(args, "weights", None):
         return n1qubo.PenaltyWeights()
-    raw = json.loads(args.weights)
+    try:
+        raw = json.loads(args.weights)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--weights is not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"--weights must be a JSON object, got {args.weights}")
     allowed = {f.name for f in dataclasses.fields(n1qubo.PenaltyWeights)}
@@ -91,8 +94,11 @@ def _switches(switch: net.Switchover) -> str:
 
 def _write(path: str | None, content: str, label: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
         print(f"{label} written to {path}")
     else:
         sys.stdout.write(content)
@@ -196,7 +202,10 @@ def cmd_anneal(args) -> int:
         sweeps_per_beta=args.sweeps_per_beta,
         beta_range=beta_range,
     )
-    samples = anneal.simulated_annealing(qubo, schedule)
+    try:
+        samples = anneal.simulated_annealing(qubo, schedule)
+    except MemoryError:
+        raise MemoryError(f"annealing {schedule.reads} reads x {qubo.n} variables") from None
     if args.post_process:
         samples = anneal.post_process(qubo, samples)
     histogram = anneal.energy_histogram(qubo, samples, layout)
@@ -357,8 +366,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename}")
+    except OSError as exc:
+        # every write goes through _write, so a named file here is an input
+        return _fail(f"cannot read {exc.filename}: {exc.strerror}" if exc.filename else str(exc))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
     except (
         net.NetworkError,
         grover.SearchSpaceError,

@@ -200,6 +200,21 @@ class TestMatchesReference:
             "1fa6fb134086048eb749a9ffef6b80f9286be8075b34ed8629065b962bbc8fec"
         )
 
+    @pytest.mark.parametrize("sweeps", [1, 7, 21, 40])
+    def test_energy_neutral_bit_flips_every_sweep(self, sweeps):
+        """Variable 1 has no terms, so every Metropolis proposal accepts it and
+        the final descent, which needs dE < 0, never flips it: each read ends
+        with its initial bit flipped once a sweep."""
+        qubo = Qubo(3, {(0, 0): 1.0, (0, 2): -2.5, (2, 2): 0.75})
+        reads, seed = 64, 0
+        schedule = AnnealSchedule(seed=seed, reads=reads, sweeps=sweeps, sweeps_per_beta=1)
+        samples = simulated_annealing(qubo, schedule)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        initial = rng.integers(0, 2, size=(reads, qubo.n))[:, 1]
+        assert 2 * initial.sum() != reads  # the two parities give different counts
+        ones = int(samples.samples[:, 1].astype(np.int64) @ samples.multiplicities)
+        assert ones == int((initial ^ (sweeps % 2)).sum())
+
 
 class TestSchedule:
     def test_validation(self):

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -36,7 +38,11 @@ BAD_WEIGHTS = (
     ('{"dw": [1]}', "penalty weight dw must be a finite positive number, got [1]"),
     ('[1]', "--weights must be a JSON object, got [1]"),
     ('5', "--weights must be a JSON object, got 5"),
+    ('nope', "--weights is not JSON: Expecting value: line 1 column 1 (char 0)"),
 )
+
+IS_A_DIRECTORY = os.strerror(errno.EISDIR)
+NO_SUCH_FILE = os.strerror(errno.ENOENT)
 
 
 def schema(name):
@@ -88,6 +94,10 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--network", "/nope/missing.json")
         assert code == 1
         assert "error" in err
+
+    def test_directory_network_is_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", "--network", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: cannot read {tmp_path}: {IS_A_DIRECTORY}\n")
 
     def test_bad_k_max(self, capsys):
         code, _, err = run(capsys, "check", "--network", SEVENBUS, "--k-max", "0")
@@ -238,6 +248,14 @@ class TestQubo:
                 assert err == f"error: {message}\n"
                 assert not out_path.exists()
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "problem.qubo"
+        for path, reason in ((tmp_path, IS_A_DIRECTORY), (missing, NO_SUCH_FILE)):
+            code, out, err = run(
+                capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2", "--out", str(path),
+            )
+            assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
+
     def test_weights_json_validation(self, capsys):
         code, _, err = run(
             capsys, "qubo", "--network", SEVENBUS, "--weights", '{"bogus": 1}',
@@ -359,6 +377,20 @@ class TestAnneal:
                 )
                 assert (code, out, err) == (1, "", f"error: {message}\n"), (weights, mode)
 
+    def test_unwritable_histogram_is_input_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "h.csv"
+        for path, reason in ((tmp_path, IS_A_DIRECTORY), (missing, NO_SUCH_FILE)):
+            code, out, err = run(capsys, *self.ARGS, "--seed", "5", "--histogram-out", str(path))
+            assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
+
+    def test_oversized_reads_are_input_error(self, capsys):
+        # 63 variables x 10**15 reads of int64 is 0.5 EB: beyond any address
+        # space, so the allocation fails at once instead of being overcommitted
+        code, out, err = run(capsys, *self.ARGS, "--seed", "5", "--reads", str(10**15))
+        assert (code, out, err) == (
+            1, "", "error: out of memory: annealing 1000000000000000 reads x 63 variables\n"
+        )
+
     def test_beta_window_flags(self, capsys, monkeypatch):
         monkeypatch.delenv("GRIDSEC_SEED", raising=False)
         code, out, _ = run(capsys, *self.ARGS, "--seed", "5", "--beta-min", "0.02", "--beta-max", "5")
@@ -403,6 +435,14 @@ class TestGrover:
         rows = dist.read_text().strip().splitlines()
         assert rows[0] == "id,probability,switchover_json"
         assert len(rows) == 5
+
+    def test_unwritable_distribution_is_input_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "grover", "--network", DEMO_K1, "--failing-edge", "2", "--seed", "3",
+            "--distribution-out", str(tmp_path),
+        )
+        assert (code, out) == (1, "seed: 3\n")
+        assert err == f"error: cannot write {tmp_path}: {IS_A_DIRECTORY}\n"
 
     def test_bad_seed_is_input_error(self, capsys, monkeypatch):
         argv = ["grover", "--network", DEMO_K1, "--failing-edge", "2"]
