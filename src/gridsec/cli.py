@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -90,6 +91,23 @@ def _switches(switch: net.Switchover) -> str:
     on = ",".join(map(str, sorted(switch.activate)))
     off = ",".join(map(str, sorted(switch.deactivate)))
     return f"on[{on}] off[{off}]"
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Fail on an output path that cannot be written before any work starts,
+    so a typo neither costs a run nor leaves a partial set of outputs; nothing
+    is created or truncated here."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write(path: str | None, content: str, label: str) -> None:
@@ -166,6 +184,7 @@ def cmd_loadflow(args) -> int:
 
 def cmd_qubo(args) -> int:
     grid = net.load_network(args.network)
+    _check_writable(args.out, args.layout_out)
     qubo, layout = _build_qubo(grid, args)
     if args.tree_only:
         layout_doc = {"kind": "tree", "levels": layout.levels, "failing_edge": layout.failing_edge}
@@ -189,12 +208,13 @@ def cmd_qubo(args) -> int:
 def cmd_anneal(args) -> int:
     grid = net.load_network(args.network)
     seed = _seed_from(args)
-    qubo, layout = _build_qubo(grid, args)
     beta_range = None
     if (args.beta_min is None) != (args.beta_max is None):
         return _fail("--beta-min and --beta-max must be given together")
     if args.beta_min is not None:
         beta_range = (args.beta_min, args.beta_max)
+    _check_writable(args.histogram_out, args.samples_out)
+    qubo, layout = _build_qubo(grid, args)
     schedule = anneal.AnnealSchedule(
         seed=seed,
         reads=args.reads,
@@ -246,8 +266,9 @@ def cmd_grover(args) -> int:
     grid = net.load_network(args.network)
     seed = _seed_from(args)
     space = grover.index_reconfigurations(grid, args.failing_edge, args.k)
-    oracle = grover.make_oracle(grid, space)
     print(f"seed: {seed}")
+    _check_writable(args.distribution_out)
+    oracle = grover.make_oracle(grid, space)
 
     def no_compliant_switchover() -> int:
         print(

@@ -180,6 +180,37 @@ def optimal_iterations(n: int, m: int) -> int:
     return max(0, int(math.floor(math.pi / (4.0 * theta))))
 
 
+def _sample(members: list[int], n: int, a: float, b: float, u: float) -> int:
+    """``rng.choice(n, p=...)``'s rule for the uniform ``u``: the smallest id
+    whose prefix probability exceeds ``u`` (``n`` when none does), with the
+    sorted ``members`` at amplitude ``a`` and the other ids at ``b``.
+
+    With ``k`` marked ids up to id ``i`` the prefix is
+    ``(k pa + (i + 1 - k) pb) / total``, monotone in ``i`` and linear between
+    marked ids: bisect the marked ids for the segment, solve for ``i``, and
+    confirm with the same float prefix, bisecting the segment if rounding
+    put the solve off.
+    """
+    pa, pb = a * a, b * b
+    m = len(members)
+    total = m * pa + (n - m) * pb
+    # the first marked id whose prefix exceeds u closes the segment, and every
+    # id up to the marked id before it has a prefix of at most u
+    k = bisect_right(range(m), u, key=lambda j: ((j + 1) * pa + (members[j] - j) * pb) / total)
+    lo = members[k - 1] + 1 if k else 0
+    hi = members[k] if k < m else n
+    if pb == 0.0 or lo == hi:
+        return hi  # the segment's unmarked ids add nothing to the prefix
+    base = k * pa
+    guess = (u * total - base) / pb + k
+    i = lo if not guess >= lo else hi if guess >= hi else int(guess)  # NaN gives lo
+    if (i > lo and (base + (i - k) * pb) / total > u) or (
+        i < hi and (base + (i + 1 - k) * pb) / total <= u
+    ):
+        i = lo + bisect_right(range(lo, hi), u, key=lambda x: (base + (x + 1 - k) * pb) / total)
+    return i
+
+
 @dataclass(frozen=True)
 class GroverResult:
     sampled_id: int
@@ -222,18 +253,6 @@ def grover_search(
             a, b = 2.0 * mean + a, 2.0 * mean - b
         return a, b
 
-    def sample(a: float, b: float) -> int:
-        """``rng.choice(n, p=...)``'s rule: one uniform u, then the smallest id
-        whose cumulative probability exceeds it, from closed-form prefix sums."""
-        pa, pb = a * a, b * b
-        total = m * pa + (n - m) * pb
-
-        def cumulative(i: int) -> float:
-            below = bisect_right(members, i)
-            return (below * pa + (i + 1 - below) * pb) / total
-
-        return bisect_right(range(n), rng.random(), key=cumulative)
-
     def found(sampled: int, a: float, b: float, t: int, rounds: int = 1) -> GroverResult:
         distribution = np.full(n, b * b)
         distribution[marked] = a * a
@@ -243,7 +262,7 @@ def grover_search(
         if iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {iterations}")
         a, b = amplify(iterations)
-        return found(sample(a, b), a, b, iterations)
+        return found(_sample(members, n, a, b, rng.random()), a, b, iterations)
 
     bound = 1.0
     growth = 6.0 / 5.0
@@ -256,7 +275,7 @@ def grover_search(
         t = int(rng.integers(0, max(1, math.ceil(bound))))
         a, b = amplify(t)
         spent += t
-        sampled = sample(a, b)
+        sampled = _sample(members, n, a, b, rng.random())
         oracle.queries += 1  # the classical verification, read off the marked set
         if sampled in hits:
             return found(sampled, a, b, t, rounds)

@@ -64,6 +64,14 @@ class Qubo:
         self.offset = float(offset)
         self._dense: np.ndarray | None = None
 
+    @classmethod
+    def _trusted(cls, n: int, coeffs: dict[tuple[int, int], float], offset: float) -> Qubo:
+        """A Qubo over coefficients already in normal form (ordered keys in
+        [0, n), float values), skipping the constructor's checks."""
+        qubo = cls.__new__(cls)
+        qubo.n, qubo.coeffs, qubo.offset, qubo._dense = n, coeffs, offset, None
+        return qubo
+
     def evaluate(self, bits: Sequence[int] | np.ndarray) -> float:
         """Energy of one bitstring: the one-row case of :meth:`energies`."""
         x = np.asarray(bits, dtype=np.float64)
@@ -159,19 +167,22 @@ class QuboBuilder:
     """Mutable accumulator used while assembling penalty terms."""
 
     def __init__(self, n: int = 0):
+        if n < 0:
+            raise ValueError(f"variable count must be non-negative, got {n}")
         self.n = n
         self._coeffs: dict[tuple[int, int], float] = {}
         self._offset = 0.0
 
-    def _touch(self, var: int) -> None:
-        if var >= self.n:
-            self.n = var + 1
-
     def add(self, i: int, j: int, coeff: float) -> None:
         if coeff == 0.0:
             return
-        self._touch(max(i, j))
-        key = (i, j) if i <= j else (j, i)
+        if i > j:
+            i, j = j, i
+        if i < 0:
+            raise ValueError(f"variable index must be non-negative, got {i}")
+        if j >= self.n:
+            self.n = j + 1
+        key = (i, j)
         self._coeffs[key] = self._coeffs.get(key, 0.0) + coeff
 
     def add_linear(self, var: int, coeff: float) -> None:
@@ -184,10 +195,11 @@ class QuboBuilder:
         """Add ``(sum_i a_i x_i + const)^2`` expanded with ``x^2 = x``."""
         items = [(v, a) for v, a in sorted(terms.items()) if a != 0.0]
         self.add_offset(const * const)
+        add = self.add
         for idx, (v, a) in enumerate(items):
-            self.add_linear(v, a * a + 2.0 * const * a)
+            add(v, v, a * a + 2.0 * const * a)
             for w, b in items[idx + 1:]:
-                self.add(v, w, 2.0 * a * b)
+                add(v, w, 2.0 * a * b)
 
     def add_product(
         self,
@@ -198,29 +210,36 @@ class QuboBuilder:
     ) -> None:
         """Add the product of two affine forms over bits."""
         self.add_offset(const_a * const_b)
+        add = self.add
         for v, a in terms_a.items():
-            self.add_linear(v, a * const_b)
+            add(v, v, a * const_b)
         for w, b in terms_b.items():
-            self.add_linear(w, b * const_a)
+            add(w, w, b * const_a)
         for v, a in terms_a.items():
             for w, b in terms_b.items():
-                if v == w:
-                    self.add_linear(v, a * b)
-                else:
-                    self.add(v, w, a * b)
+                add(v, w, a * b)
 
     def add_qubo(self, other: Qubo, weight: float = 1.0) -> None:
         if other.n > self.n:
             self.n = other.n
-        for (i, j), q in other.coeffs.items():
-            self.add(i, j, weight * q)
+        # a Qubo's keys are already ordered and in [0, other.n)
+        coeffs = self._coeffs
+        for key, q in other.coeffs.items():
+            value = weight * q
+            if value != 0.0:
+                coeffs[key] = coeffs.get(key, 0.0) + value
         self.add_offset(weight * other.offset)
 
     def build(self, n: int | None = None) -> Qubo:
         size = self.n if n is None else n
         if size < self.n:
             raise ValueError(f"requested size {size} below highest variable {self.n - 1}")
-        return Qubo(size, dict(self._coeffs), self._offset)
+        coeffs = dict(self._coeffs)
+        if any(type(q) is not float for q in coeffs.values()):
+            # a caller added numpy scalars; dumps writes repr, so store floats
+            coeffs = {key: float(q) for key, q in coeffs.items()}
+        # every key is already ordered and in [0, self.n)
+        return Qubo._trusted(size, coeffs, float(self._offset))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from gridsec import anneal, grover, n1qubo
 from gridsec.cli import main
 from gridsec.datasets import bundled_path
 from gridsec.qubo import Qubo
@@ -54,6 +55,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbid(monkeypatch, module, name):
+    """Make ``module.name`` fail if called: the command must stop before it."""
+
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the command failed")
+
+    monkeypatch.setattr(module, name, called)
 
 
 class TestCheck:
@@ -256,6 +266,16 @@ class TestQubo:
             )
             assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
 
+    def test_unwritable_layout_fails_before_the_build(self, capsys, tmp_path, monkeypatch):
+        forbid(monkeypatch, n1qubo, "build_n1_qubo")
+        out_path, layout_path = tmp_path / "problem.qubo", tmp_path / "nodir" / "layout.json"
+        code, out, err = run(
+            capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2",
+            "--out", str(out_path), "--layout-out", str(layout_path),
+        )
+        assert (code, out, err) == (1, "", f"error: cannot write {layout_path}: {NO_SUCH_FILE}\n")
+        assert not out_path.exists()
+
     def test_weights_json_validation(self, capsys):
         code, _, err = run(
             capsys, "qubo", "--network", SEVENBUS, "--weights", '{"bogus": 1}',
@@ -383,6 +403,31 @@ class TestAnneal:
             code, out, err = run(capsys, *self.ARGS, "--seed", "5", "--histogram-out", str(path))
             assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
 
+    def test_unwritable_samples_fail_before_the_anneal(self, capsys, tmp_path, monkeypatch):
+        forbid(monkeypatch, anneal, "simulated_annealing")
+        hist, samples = tmp_path / "h.csv", tmp_path / "nodir" / "s.csv"
+        code, out, err = run(
+            capsys, *self.ARGS, "--seed", "5",
+            "--samples-out", str(samples), "--histogram-out", str(hist),
+        )
+        assert (code, out, err) == (1, "", f"error: cannot write {samples}: {NO_SUCH_FILE}\n")
+        assert not hist.exists()
+        # an existing output is left as it was, not truncated
+        hist.write_text("kept\n")
+        not_a_dir = tmp_path / "h.csv" / "s.csv"
+        code, out, err = run(
+            capsys, *self.ARGS, "--seed", "5",
+            "--histogram-out", str(hist), "--samples-out", str(not_a_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {not_a_dir}: {os.strerror(errno.ENOTDIR)}\n"
+        assert hist.read_text() == "kept\n"
+
+    def test_beta_pairing_checked_before_the_build(self, capsys, monkeypatch):
+        forbid(monkeypatch, n1qubo, "build_tree_qubo")
+        code, out, err = run(capsys, *self.ARGS, "--seed", "5", "--beta-max", "5")
+        assert (code, out, err) == (1, "", "error: --beta-min and --beta-max must be given together\n")
+
     def test_oversized_reads_are_input_error(self, capsys):
         # 63 variables x 10**15 reads of int64 is 0.5 EB: beyond any address
         # space, so the allocation fails at once instead of being overcommitted
@@ -443,6 +488,16 @@ class TestGrover:
         )
         assert (code, out) == (1, "seed: 3\n")
         assert err == f"error: cannot write {tmp_path}: {IS_A_DIRECTORY}\n"
+
+    def test_unwritable_distribution_fails_before_the_oracle(self, capsys, tmp_path, monkeypatch):
+        forbid(monkeypatch, grover, "make_oracle")
+        path = tmp_path / "nodir" / "d.csv"
+        code, out, err = run(
+            capsys, "grover", "--network", DEMO_K1, "--failing-edge", "2", "--seed", "3",
+            "--distribution-out", str(path),
+        )
+        assert (code, out) == (1, "seed: 3\n")
+        assert err == f"error: cannot write {path}: {NO_SUCH_FILE}\n"
 
     def test_bad_seed_is_input_error(self, capsys, monkeypatch):
         argv = ["grover", "--network", DEMO_K1, "--failing-edge", "2"]

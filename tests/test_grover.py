@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gridsec.cli import main
 from gridsec.datasets import bundled_path
 from gridsec.grover import (
+    _sample,
     Oracle,
     SearchFailure,
     SearchSpace,
@@ -334,6 +336,78 @@ def reference_scan(n, marked):
         if candidate_id in members:
             return candidate_id, candidate_id + 1
     return None, n
+
+
+def bisect_sample(members, n, a, b, u):
+    """The smallest id whose prefix probability exceeds u, or n: a bisection of
+    every id, keyed by a prefix that bisects the marked ids."""
+    pa, pb = a * a, b * b
+    total = len(members) * pa + (n - len(members)) * pb
+
+    def cumulative(i):
+        below = bisect_right(members, i)
+        return (below * pa + (i + 1 - below) * pb) / total
+
+    return bisect_right(range(n), u, key=cumulative)
+
+
+def amplitudes(n, m, t):
+    a = b = 1.0 / math.sqrt(n)
+    for _ in range(t):
+        mean = ((n - m) * b - m * a) / n
+        a, b = 2.0 * mean + a, 2.0 * mean - b
+    return a, b
+
+
+class TestSampleFromPrefix:
+    """``_sample`` returns what the bisection of every id returns."""
+
+    @staticmethod
+    def uniforms(members, n, a, b, rng):
+        """Random draws, the ends of [0, 1], and every prefix value of a few
+        ids with its float neighbours, where ``>`` against ``>=`` tells."""
+        us = [0.0, math.nextafter(1.0, 0.0), 1.0, *rng.random(40).tolist()]
+        pa, pb = a * a, b * b
+        total = len(members) * pa + (n - len(members)) * pb
+        for i in {0, n - 1, *members[:3], *rng.integers(0, n, size=8).tolist()}:
+            below = bisect_right(members, i)
+            p = (below * pa + (i + 1 - below) * pb) / total
+            us += [p, math.nextafter(p, 0.0), math.nextafter(p, 2.0)]
+        return [u for u in us if 0.0 <= u <= 1.0]
+
+    @pytest.mark.parametrize(
+        "n, members, a, b",
+        [
+            (1, [0], 1.0, 0.0),
+            (64, [17], *amplitudes(64, 1, 6)),
+            (65536, [0], *amplitudes(65536, 1, 201)),
+            (65536, [65535], *amplitudes(65536, 1, 3)),
+            (50, list(range(50)), *amplitudes(50, 50, 4)),
+            (100, [3, 40, 99], 0.5, 0.0),
+            (100, [], 0.0, 0.1),
+            (4096, [5, 6, 7, 3000], 0.4, 1e-12),
+            (4096, [5, 6, 7, 3000], 0.4, 1e-170),
+            (4096, list(range(0, 4096, 3)), *amplitudes(4096, 1366, 1)),
+        ],
+        ids=["n1", "m1", "m1-first", "m1-last", "m-n", "b0", "m0", "b-tiny", "b-subnormal", "m-third"],
+    )
+    def test_matches_bisect(self, n, members, a, b):
+        rng = np.random.default_rng(n)
+        for u in self.uniforms(members, n, a, b, rng):
+            assert _sample(members, n, a, b, u) == bisect_sample(members, n, a, b, u), u
+
+    @given(case=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisect_on_random_searches(self, case, seed):
+        n, marked = case.draw(marked_sets())
+        members = marked.tolist()
+        t = case.draw(st.integers(0, 40))
+        a, b = amplitudes(n, len(members), t)
+        if len(members) * a * a + (n - len(members)) * b * b == 0.0:
+            return
+        rng = np.random.default_rng(seed)
+        for u in self.uniforms(members, n, a, b, rng):
+            assert _sample(members, n, a, b, u) == bisect_sample(members, n, a, b, u), u
 
 
 @st.composite

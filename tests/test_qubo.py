@@ -170,6 +170,63 @@ class TestPenaltyBuilders:
             assert q.evaluate(bits) == pytest.approx(expected)
 
 
+class TestBuilder:
+    @staticmethod
+    def random_builder(seed, coeff=float):
+        rng = np.random.default_rng(seed)
+        builder = QuboBuilder()
+        for _ in range(400):
+            i, j = (int(v) for v in rng.integers(0, 30, size=2))
+            builder.add(i, j, coeff(rng.normal()))
+        builder.add(4, 2, 3)  # an int coefficient
+        builder.add_square({7: 0.5, 3: -1.25, 40: 2.0}, -0.75)
+        builder.add_product({1: 2.0, 5: -1.0}, 0.5, {5: 3.0, 9: 1.0}, -2.0)
+        builder.add_qubo(pair_reduction_penalty(6, 8, 33), coeff(2.5))
+        builder.add_offset(coeff(1.5))
+        return builder
+
+    @pytest.mark.parametrize("coeff", [float, np.float64], ids=["float", "numpy"])
+    def test_build_matches_validating_constructor(self, coeff):
+        for seed in range(5):
+            builder = self.random_builder(seed, coeff)
+            for size in (None, 60):
+                built = builder.build(size)
+                reference = Qubo(size or builder.n, dict(builder._coeffs), builder._offset)
+                assert (built.n, built.offset) == (reference.n, reference.offset)
+                assert list(built.coeffs.items()) == list(reference.coeffs.items())
+                assert all(type(v) is float for v in built.coeffs.values())
+                assert type(built.offset) is float
+                assert built.dumps() == reference.dumps()
+
+    def test_build_is_a_snapshot(self):
+        builder = QuboBuilder()
+        builder.add(0, 1, 1.0)
+        built = builder.build()
+        builder.add(0, 1, 1.0)
+        builder.add(2, 2, 1.0)
+        assert (built.n, built.coeffs) == (2, {(0, 1): 1.0})
+
+    def test_negative_index_rejected_at_add(self):
+        builder = QuboBuilder()
+        builder.add(0, 1, 1.0)
+        for i, j in ((-1, 2), (2, -1), (-3, -3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                builder.add(i, j, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            builder.add_linear(-1, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            QuboBuilder(-1)
+        assert (builder.n, builder.build().coeffs) == (2, {(0, 1): 1.0})
+
+    def test_build_below_highest_variable_raises(self):
+        builder = QuboBuilder(3)
+        builder.add(7, 4, 1.0)
+        with pytest.raises(ValueError, match="requested size 7 below highest variable 7"):
+            builder.build(7)
+        assert builder.build(8).n == 8
+        assert builder.build().n == 8
+
+
 class TestDegreeReduction:
     def test_pair_penalty_table(self):
         p = pair_reduction_penalty(0, 1, 2)
