@@ -110,12 +110,15 @@ class SampleSet:
     def from_states(cls, qubo: Qubo, states: np.ndarray) -> SampleSet:
         states = np.ascontiguousarray(states.astype(np.uint8))
         if states.size:
-            unique, counts = np.unique(states, axis=0, return_counts=True)
+            packed = np.packbits(states, axis=1)  # big-endian: sorts as the rows do
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+            unique = states[first]
         else:
             unique = states.reshape(0, qubo.n)
             counts = np.zeros(0, dtype=np.int64)
         energies = qubo.energies(unique) if len(unique) else np.zeros(0)
-        # np.unique returns the rows in byte order, so a stable sort keeps it on ties
+        # the unique rows come in byte order, so a stable sort keeps it on ties
         order = np.argsort(energies, kind="stable")
         return cls(
             samples=unique[order],
@@ -139,12 +142,6 @@ class SampleSet:
         if not len(self.samples):
             raise ValueError("empty sample set")
         return self.samples[0], float(self.energies[0])
-
-    def expand(self) -> np.ndarray:
-        """One row per read (multiplicities unrolled)."""
-        if not len(self.samples):
-            return self.samples.copy()
-        return np.repeat(self.samples, self.multiplicities, axis=0)
 
 
 def auto_beta_range(qubo: Qubo) -> tuple[float, float]:

@@ -6,7 +6,8 @@ marked ids and the reflection about the mean keep one amplitude ``a`` on
 every marked id and one ``b`` on every unmarked id (the two-dimensional
 invariant subspace of Boyer, Brassard, Hoyer & Tapp, 1998), so the search
 evolves the exact pair ``(a, b)`` for any N and samples from closed-form
-prefix sums; ``grover_iterate`` keeps the N-vector step as the reference.
+prefix sums.  A search steps the pair once, keeping at most ceil(sqrt N)
+pairs for its rounds, and a result builds its distribution when it is read.
 
 Query accounting follows the grey-box convention: one amplification
 iteration costs one oracle query, and every classical verification of a
@@ -21,6 +22,8 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -35,8 +38,6 @@ __all__ = [
     "Oracle",
     "index_reconfigurations",
     "make_oracle",
-    "uniform_state",
-    "grover_iterate",
     "success_probability",
     "optimal_iterations",
     "GroverResult",
@@ -119,7 +120,9 @@ class Oracle:
 
     @classmethod
     def from_marked(cls, marked_ids, size: int) -> Oracle:
-        marked = np.unique(np.fromiter(map(operator.index, marked_ids), dtype=np.int64))
+        marked = np.fromiter(map(operator.index, marked_ids), dtype=np.int64)
+        if marked.size > 1 and not (marked[1:] > marked[:-1]).all():
+            marked = np.unique(marked)
         if marked.size and (marked[0] < 0 or marked[-1] >= size):
             raise ValueError(f"marked ids must lie in [0, {size})")
         return cls(marked)
@@ -143,21 +146,6 @@ def make_oracle(network: Network, space: SearchSpace, tol: float = 1e-9) -> Orac
 # ---------------------------------------------------------------------------
 # amplitude dynamics
 # ---------------------------------------------------------------------------
-
-def uniform_state(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("state needs at least one amplitude")
-    return np.full(n, 1.0 / math.sqrt(n))
-
-
-def grover_iterate(state: np.ndarray, marked) -> np.ndarray:
-    """One amplification step: flip marked phases, reflect about the mean."""
-    amplitudes = np.array(state, dtype=np.float64)
-    marked = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked, dtype=np.int64)
-    if marked.size:
-        amplitudes[marked] *= -1.0
-    return 2.0 * amplitudes.mean() - amplitudes
-
 
 def success_probability(n: int, m: int, t: int) -> float:
     """Closed-form probability of sampling a marked id after t iterations."""
@@ -211,14 +199,33 @@ def _sample(members: list[int], n: int, a: float, b: float, u: float) -> int:
     return i
 
 
+def _amplitudes(n: int, m: int):
+    """Marked and unmarked amplitudes after 0, 1, 2, ... steps from uniform."""
+    a = b = 1.0 / math.sqrt(n)
+    while True:
+        yield a, b
+        mean = ((n - m) * b - m * a) / n
+        a, b = 2.0 * mean + a, 2.0 * mean - b
+
+
 @dataclass(frozen=True)
 class GroverResult:
     sampled_id: int
     switchover: Switchover | None
-    distribution: np.ndarray
     iterations: int
     queries: int
-    rounds: int = 1
+    rounds: int
+    amplitudes: tuple[float, float]  # marked, unmarked
+    marked: np.ndarray
+    size: int
+
+    @cached_property
+    def distribution(self) -> np.ndarray:
+        """Probability of every id after the sampled round's steps."""
+        a, b = self.amplitudes
+        distribution = np.full(self.size, b * b)
+        distribution[self.marked] = a * a
+        return distribution
 
 
 def grover_search(
@@ -244,43 +251,36 @@ def grover_search(
     hits = frozenset(members)
     m = len(members)
 
-    def amplify(t: int) -> tuple[float, float]:
-        """Marked and unmarked amplitudes after t steps from the uniform state."""
-        oracle.queries += t
-        a = b = 1.0 / math.sqrt(n)
-        for _ in range(t):
-            mean = ((n - m) * b - m * a) / n
-            a, b = 2.0 * mean + a, 2.0 * mean - b
-        return a, b
-
     def found(sampled: int, a: float, b: float, t: int, rounds: int = 1) -> GroverResult:
-        distribution = np.full(n, b * b)
-        distribution[marked] = a * a
-        return GroverResult(sampled, space.switchover(sampled), distribution, t, oracle.queries, rounds)
+        return GroverResult(sampled, space.switchover(sampled), t, oracle.queries, rounds, (a, b), marked, n)
 
     if iterations is not None:
         if iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {iterations}")
-        a, b = amplify(iterations)
+        oracle.queries += iterations
+        a, b = next(islice(_amplitudes(n, m), iterations, None))
         return found(_sample(members, n, a, b, rng.random()), a, b, iterations)
 
     bound = 1.0
-    growth = 6.0 / 5.0
     ceiling = math.sqrt(n)
     budget = int(30.0 * math.sqrt(n)) + 30
-    spent = 0
-    rounds = 0
+    spent = rounds = 0
+    steps = _amplitudes(n, m)
+    pairs = []  # (a_t, b_t) for t up to the largest t drawn so far
     while spent <= budget:
         rounds += 1
         t = int(rng.integers(0, max(1, math.ceil(bound))))
-        a, b = amplify(t)
+        if t >= len(pairs):
+            pairs += islice(steps, t + 1 - len(pairs))
+        a, b = pairs[t]
+        oracle.queries += t
         spent += t
         sampled = _sample(members, n, a, b, rng.random())
         oracle.queries += 1  # the classical verification, read off the marked set
         if sampled in hits:
             return found(sampled, a, b, t, rounds)
         spent += 1
-        bound = min(growth * bound, ceiling)
+        bound = min(6.0 / 5.0 * bound, ceiling)
     raise SearchFailure(
         f"no marked candidate found within {budget} amplification steps"
     )

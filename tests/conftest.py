@@ -9,6 +9,7 @@ than echo the implementation.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -152,3 +153,20 @@ def zero_tree_penalty_strings(layout, chunk: int = 1 << 17) -> list[np.ndarray]:
             mask &= np.abs(layout.groups[name].energies(batch)) < 1e-9
         found.extend(row.astype(np.uint8) for row in batch[mask])
     return found
+
+
+def uniform_state(n: int) -> np.ndarray:
+    """The N-vector start of the amplitude-amplification search."""
+    if n < 1:
+        raise ValueError("state needs at least one amplitude")
+    return np.full(n, 1.0 / math.sqrt(n))
+
+
+def grover_iterate(state: np.ndarray, marked) -> np.ndarray:
+    """One N-vector amplification step: flip marked phases, reflect about the
+    mean.  The reference for the library's two-amplitude search."""
+    amplitudes = np.array(state, dtype=np.float64)
+    marked = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked, dtype=np.int64)
+    if marked.size:
+        amplitudes[marked] *= -1.0
+    return 2.0 * amplitudes.mean() - amplitudes

@@ -24,13 +24,11 @@ from gridsec.grover import (
     Oracle,
     SearchSpace,
     classical_scan,
-    grover_iterate,
     grover_search,
     index_reconfigurations,
     make_oracle,
     optimal_iterations,
     success_probability,
-    uniform_state,
 )
 from gridsec.loadflow import admittance
 from gridsec.network import Configuration
@@ -57,9 +55,11 @@ from gridsec.qubo import (
 
 from conftest import (
     full_report,
+    grover_iterate,
     make_network,
     rooted_height,
     spanning_trees,
+    uniform_state,
     zero_tree_penalty_strings,
 )
 

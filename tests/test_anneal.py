@@ -81,8 +81,13 @@ def reference_descent(qubo: Qubo, bits) -> np.ndarray:
         field_ += flip * sym[best]
 
 
+def expand(samples: SampleSet) -> np.ndarray:
+    """One row per read (multiplicities unrolled)."""
+    return np.repeat(samples.samples, samples.multiplicities, axis=0)
+
+
 def reference_post_process(qubo: Qubo, samples: SampleSet) -> SampleSet:
-    rows = samples.expand()
+    rows = expand(samples)
     return SampleSet.from_states(qubo, np.stack([reference_descent(qubo, row) for row in rows]))
 
 
@@ -303,6 +308,37 @@ class TestSampleSet:
             assert keys == sorted(keys)
             assert len(set(samples.energies)) < len(samples)  # ties were exercised
 
+    @given(
+        width=st.integers(1, 70),
+        reads=st.integers(0, 60),
+        kind=st.sampled_from(("random", "few", "equal")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dedup_matches_unique_rows(self, width, reads, kind, seed):
+        """Samples, energies and multiplicities are those of np.unique over
+        whole rows, byte for byte, at widths off the packed byte boundary,
+        for one variable, all-equal rows and no rows."""
+        rng = np.random.default_rng(seed)
+        qubo = Qubo(width, {(i, (i + 1) % width): float(rng.integers(-2, 3)) for i in range(width)})
+        if kind == "random":
+            states = rng.integers(0, 2, size=(reads, width))
+        elif kind == "few":
+            states = rng.integers(0, 2, size=(3, width))[rng.integers(0, 3, size=reads)]
+        else:
+            states = np.full((reads, width), seed % 2)
+        samples = SampleSet.from_states(qubo, states > 0)
+        if not reads:
+            assert samples.samples.shape == (0, width) and samples.total_reads == 0
+            return
+        unique, counts = np.unique(states.astype(np.uint8), axis=0, return_counts=True)
+        energies = qubo.energies(unique)
+        order = np.argsort(energies, kind="stable")
+        assert samples.samples.dtype == np.uint8
+        assert samples.samples.tobytes() == unique[order].tobytes()
+        assert samples.energies.tobytes() == energies[order].tobytes()
+        assert samples.multiplicities.tobytes() == counts[order].tobytes()
+
 
 class TestSteepestDescent:
     def test_local_minimum_is_fixed_point(self):
@@ -349,8 +385,8 @@ class TestSteepestDescent:
 
         assert feasible_count(descended) >= feasible_count(samples)
         paired = zip(
-            sorted(qubo.energies(samples.expand())),
-            sorted(qubo.energies(descended.expand())),
+            sorted(qubo.energies(expand(samples))),
+            sorted(qubo.energies(expand(descended))),
         )
         # energy distribution is pointwise no worse after descent
         assert all(after <= before + 1e-12 for before, after in paired)

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import random
+import tracemalloc
 from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsec import grover as grover_module
 from gridsec.cli import main
 from gridsec.datasets import bundled_path
 from gridsec.grover import (
@@ -19,18 +23,20 @@ from gridsec.grover import (
     SearchSpace,
     SearchSpaceError,
     classical_scan,
-    grover_iterate,
     grover_search,
     index_reconfigurations,
     make_oracle,
     optimal_iterations,
     success_probability,
-    uniform_state,
 )
 from gridsec.loadflow import ComplianceOracle
 from gridsec.network import Configuration, Switchover, is_spanning_tree
 
-from conftest import compliant
+from conftest import compliant, grover_iterate, uniform_state
+
+GROVER_CLI_CASES = json.loads(
+    (Path(__file__).parent / "data" / "grover_cli_seed11.json").read_text()
+)
 
 
 class TestSearchSpace:
@@ -459,12 +465,235 @@ class TestTwoAmplitudeMatchesStatevector:
 
 
 # ---------------------------------------------------------------------------
+# the search that reruns the recurrence every round and fills the distribution
+# every time, kept as the reference for the one that steps once per search
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EagerResult:
+    sampled_id: int
+    switchover: Switchover | None
+    distribution: np.ndarray
+    iterations: int
+    queries: int
+    rounds: int = 1
+
+
+def eager_search(space, oracle, iterations=None, seed=0):
+    """The two-amplitude search with the recurrence rerun from the uniform
+    state for every round and the N-entry distribution built in every call."""
+    n = space.size
+    if n < 1:
+        raise SearchSpaceError("cannot search an empty space")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    marked = oracle.marked_ids()
+    members = marked.tolist()
+    hits = frozenset(members)
+    m = len(members)
+
+    def amplify(t):
+        oracle.queries += t
+        a = b = 1.0 / math.sqrt(n)
+        for _ in range(t):
+            mean = ((n - m) * b - m * a) / n
+            a, b = 2.0 * mean + a, 2.0 * mean - b
+        return a, b
+
+    def found(sampled, a, b, t, rounds=1):
+        distribution = np.full(n, b * b)
+        distribution[marked] = a * a
+        return EagerResult(sampled, space.switchover(sampled), distribution, t, oracle.queries, rounds)
+
+    if iterations is not None:
+        if iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {iterations}")
+        a, b = amplify(iterations)
+        return found(_sample(members, n, a, b, rng.random()), a, b, iterations)
+
+    bound = 1.0
+    ceiling = math.sqrt(n)
+    budget = int(30.0 * math.sqrt(n)) + 30
+    spent = rounds = 0
+    while spent <= budget:
+        rounds += 1
+        t = int(rng.integers(0, max(1, math.ceil(bound))))
+        a, b = amplify(t)
+        spent += t
+        sampled = _sample(members, n, a, b, rng.random())
+        oracle.queries += 1
+        if sampled in hits:
+            return found(sampled, a, b, t, rounds)
+        spent += 1
+        bound = min(6.0 / 5.0 * bound, ceiling)
+    raise SearchFailure
+
+
+def outcome(search, n, marked, iterations, seed):
+    """Everything a search reports, down to the distribution's bytes, or the
+    failure and the queries it charged."""
+    oracle = Oracle.from_marked(marked, n)
+    try:
+        result = search(SearchSpace.synthetic(n), oracle, iterations=iterations, seed=seed)
+    except SearchFailure:
+        return "failure", oracle.queries
+    return (
+        result.sampled_id, result.switchover, result.queries, result.iterations, result.rounds,
+        result.distribution.dtype, result.distribution.tobytes(), oracle.queries,
+    )
+
+
+def scaling_plans(seed, jobs=512, sizes=(64, 256, 1024, 4096, 16384, 65536)):
+    """The grover-scaling benchmark's searches: per job, one ``(N, marked id,
+    search seed)`` per N, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [[(n, rng.randrange(n), rng.randrange(2**31)) for n in sizes] for _ in range(jobs)]
+
+
+class TestSearchMatchesEagerSearch:
+    @given(
+        case=marked_sets(),
+        seed=st.integers(0, 2**32 - 1),
+        iterations=st.integers(0, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_output_bit_identical(self, case, seed, iterations):
+        """Unknown-count and fixed schedules (0 included) on empty, single,
+        random and full marked sets: same ids, counts and distribution bytes,
+        and the same queries charged before a failure."""
+        n, marked = case
+        for fixed in (None, 0, iterations):
+            assert outcome(grover_search, n, marked, fixed, seed) == outcome(
+                eager_search, n, marked, fixed, seed
+            )
+
+    @pytest.mark.parametrize("plan_seed", [1, 5, 11])
+    def test_grover_scaling_jobs_replay(self, plan_seed):
+        """512 benchmark jobs: (N, target, sampled id, queries, scan result,
+        scan queries) and the rounds and iterations equal the eager search's."""
+        for job in scaling_plans(plan_seed):
+            for n, target, search_seed in job:
+                space = SearchSpace.synthetic(n)
+                results = []
+                for search in (grover_search, eager_search):
+                    result = search(space, Oracle.from_marked({target}, n), seed=search_seed)
+                    baseline = Oracle.from_marked({target}, n)
+                    found = classical_scan(space, baseline)
+                    results.append((n, target, result.sampled_id, result.queries, found,
+                                    baseline.queries, result.rounds, result.iterations))
+                assert results[0] == results[1]
+
+    def test_amplitudes_stepped_at_most_ceil_sqrt_n_times(self, monkeypatch):
+        """A search keeps one pair per step it has taken, and the schedule's
+        bound never draws t past ceil(sqrt N) - 1."""
+        stepped = []
+
+        def counting(n, m):
+            for pair in real(n, m):
+                stepped[-1] += 1
+                yield pair
+
+        real = grover_module._amplitudes
+        monkeypatch.setattr(grover_module, "_amplitudes", counting)
+        for n in (1, 2, 7, 64, 1000, 65536):
+            for seed in range(20):
+                stepped.append(0)
+                result = grover_search(SearchSpace.synthetic(n), Oracle.from_marked({n // 3}, n), seed=seed)
+                assert result.iterations < stepped[-1] <= math.ceil(math.sqrt(n))
+        # an unmarked space runs the schedule to its budget
+        stepped.append(0)
+        with pytest.raises(SearchFailure):
+            grover_search(SearchSpace.synthetic(4096), Oracle.from_marked((), 4096), seed=0)
+        assert stepped[-1] == 64
+
+    def test_fixed_iterations_store_no_steps(self):
+        """A fixed schedule steps the pair without keeping the steps: 200,000
+        iterations allocate less than a list of 200,000 pairs would."""
+        space, oracle = SearchSpace.synthetic(10), Oracle.from_marked({3}, 10)
+        grover_search(space, oracle, iterations=10, seed=0)  # warm every code path
+        tracemalloc.start()
+        try:
+            result = grover_search(space, oracle, iterations=200_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 200_000
+        assert peak < 100_000
+
+    def test_distribution_built_on_first_read(self):
+        result = grover_search(SearchSpace.synthetic(1024), Oracle.from_marked({5, 9}, 1024), seed=3)
+        assert "distribution" not in vars(result)
+        first = result.distribution
+        assert "distribution" in vars(result)
+        assert result.distribution is first
+        assert first.dtype == np.float64 and first.shape == (1024,)
+
+
+class TestFromMarkedMatchesUnique:
+    @given(
+        ids=st.lists(st.integers(0, 99), max_size=30),
+        kind=st.sampled_from(("list", "sorted", "set", "generator", "array")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_marked_ids_equal_np_unique(self, ids, kind):
+        source = {
+            "list": lambda: list(ids),
+            "sorted": lambda: sorted(set(ids)),
+            "set": lambda: set(ids),
+            "generator": lambda: (i for i in ids),
+            "array": lambda: np.array(ids, dtype=np.int32),
+        }[kind]
+        marked = Oracle.from_marked(source(), 100).marked_ids()
+        expected = np.unique(np.array(list(source()), dtype=np.int64))
+        assert marked.dtype == expected.dtype == np.int64
+        assert marked.tobytes() == expected.tobytes()
+
+    def test_cases(self):
+        for ids, expected in [
+            ([], []), ([4], [4]), ([0, 99], [0, 99]), ([5, 5], [5]), ([3, 1, 2], [1, 2, 3]),
+            ([1, 2, 2, 3], [1, 2, 3]), (iter([7, 7, 1]), [1, 7]), (range(0, 100, 7), list(range(0, 100, 7))),
+        ]:
+            assert Oracle.from_marked(ids, 100).marked_ids().tolist() == expected
+
+    def test_rejects_out_of_range_and_non_integers(self):
+        for bad in ([100], [-1], [0, 100], [100, 0], [5, -1, 5], iter([3, 200])):
+            with pytest.raises(ValueError, match=r"marked ids must lie in \[0, 100\)"):
+                Oracle.from_marked(bad, size=100)
+        for bad in ([1.5], [0, 1.5], iter([2, 1.5])):
+            with pytest.raises(TypeError):
+                Oracle.from_marked(bad, size=100)
+
+
+def test_distribution_csv_unchanged(monkeypatch, tmp_path):
+    """``gridsec grover --distribution-out`` writes the bytes and prints the
+    lines the eager search gives, with and without ``--iterations``, on every
+    network, failing edge and k of the pinned CLI transcripts."""
+    cases = {(case["network"], case["failing_edge"], case["k"]) for case in GROVER_CLI_CASES}
+    checked = 0
+    for network, edge, k in sorted(cases):
+        for extra in ([], ["--iterations", "1"], ["--iterations", "0"]):
+            argv = [
+                "grover", "--network", str(bundled_path(network)), "--failing-edge", str(edge),
+                "--k", str(k), "--seed", "11", *extra,
+            ]
+            written = []
+            path = tmp_path / "distribution.csv"
+            for search in (grover_search, eager_search):
+                monkeypatch.setattr(grover_module, "grover_search", search)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([*argv, "--distribution-out", str(path)])
+                written.append((code, out.getvalue(), path.read_bytes() if path.exists() else None))
+                if path.exists():
+                    path.unlink()
+            assert written[0] == written[1], argv
+            checked += written[0][2] is not None
+    assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
 # CLI transcripts pinned against the statevector implementation
 # ---------------------------------------------------------------------------
 
-GROVER_CLI_CASES = json.loads(
-    (Path(__file__).parent / "data" / "grover_cli_seed11.json").read_text()
-)
 
 
 @pytest.mark.parametrize("network", sorted({case["network"] for case in GROVER_CLI_CASES}))
