@@ -7,6 +7,9 @@ Step 1 covers every active edge that a single switchover can fix.  Step 2
 streams, per leftover edge and growing k, the trees deactivating it up to
 the first pass, which witnesses every edge it deactivates, so one load-flow
 call can clear several edges.  Both map each witnessed edge to its switchover.
+Every candidate reached counts as one oracle call, the classical baseline's
+query; one that cannot change a verdict (step 1: its edge already witnessed;
+step 2: a repeated tree) is not solved, so the solves can be fewer.
 
 The enumeration never runs a connectivity check.  For a tree T, inactive
 edges A = (a_1..a_k) and tree edges D = (d_1..d_k) with d_j in C(a_j), the
@@ -147,9 +150,9 @@ def step1_single_switch(
 ) -> dict[int, Switchover]:
     """First passing single-switchover witness per active edge.
 
-    Every enumerated candidate is load-flow checked (the call count is the
-    classical baseline for query comparisons); per failing edge the first
-    passing candidate in canonical order wins.
+    Every enumerated candidate counts as one oracle call (the classical
+    baseline for query comparisons); per failing edge the first passing
+    candidate in canonical order wins; that edge's later ones go unsolved.
     """
     oracle = oracle or ComplianceOracle(network)
     base = network.initial_configuration()
@@ -158,7 +161,9 @@ def step1_single_switch(
         return witnesses
     for switch, candidate in enumerate_reconfigurations(network, base, 1):
         (failing_edge,) = switch.deactivate
-        if oracle.passes(candidate) and failing_edge not in witnesses:
+        if failing_edge in witnesses:
+            oracle.calls += 1  # the baseline still queries it
+        elif oracle.passes(candidate):
             witnesses[failing_edge] = switch
     return witnesses
 

@@ -303,8 +303,16 @@ def cmd_grover(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, like every other input error,
+    since exit 2 means INSECURE; subparsers are built from this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridsec",
         description="N-1 security toolkit for medium-voltage grid graphs",
     )

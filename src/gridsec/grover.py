@@ -208,7 +208,7 @@ def _amplitudes(n: int, m: int):
         a, b = 2.0 * mean + a, 2.0 * mean - b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: ``marked`` is an array
 class GroverResult:
     sampled_id: int
     switchover: Switchover | None

@@ -416,6 +416,8 @@ class ComplianceOracle:
 
     Counts one call per configuration queried; the count is the classical
     query unit compared against the amplitude-amplification search.  A
+    caller that skips a query which cannot change a verdict still adds it
+    to ``calls``, so the count is the baseline's and the solves can be fewer.  A
     configuration that is not a spanning tree, or whose system is singular,
     is non-compliant; an unknown edge id raises ``ValueError``, and so does
     a ``tol`` that is not finite and non-negative.

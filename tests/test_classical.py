@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,19 @@ def reference_enumeration(network, cfg, k, restrict_to=None):
             seen.add(candidate.edges)
             entries.append((switch, candidate))
     return entries
+
+
+def reference_step1(network, oracle):
+    """Step 1 as a scan that queries every single switchover, its failing
+    edge witnessed or not; per failing edge the first passing one wins."""
+    witnesses = {}
+    if not network.inactive_ids:
+        return witnesses
+    for switch, candidate in enumerate_reconfigurations(network, network.initial_configuration(), 1):
+        (failing_edge,) = switch.deactivate
+        if oracle.passes(candidate) and failing_edge not in witnesses:
+            witnesses[failing_edge] = switch
+    return witnesses
 
 
 def reference_step2(network, remaining, k, oracle):
@@ -255,6 +269,56 @@ class TestStepOne:
             candidate = apply_switchover(cfg, switch)
             assert is_spanning_tree(sevenbus, candidate)
             assert compliant(sevenbus, candidate)
+
+
+class TestStepOneReference:
+    """Step 1 against :func:`reference_step1`: the same witnesses and the same
+    call count, while only the candidates reached before their failing edge
+    has its witness are solved."""
+
+    @staticmethod
+    def solving(run, net):
+        """``run(net, oracle)``'s witnesses and call count, and the failing edge
+        and verdict of every solve, in order."""
+        oracle = ComplianceOracle(net)
+        base = net.initial_configuration().edges
+        solves = []
+        verdict = ComplianceOracle._verdict
+
+        def counting(self, cfg, nodes):
+            (failing_edge,) = base - cfg.edges
+            solves.append((failing_edge, verdict(self, cfg, nodes)))
+            return solves[-1][1]
+
+        with mock.patch.object(ComplianceOracle, "_verdict", counting):
+            witnesses = run(net, oracle)
+        return witnesses, oracle.calls, solves
+
+    def assert_same_as_reference(self, net):
+        """Returns step 1's call and solve counts."""
+        got, calls, solves = self.solving(step1_single_switch, net)
+        want, want_calls, want_solves = self.solving(reference_step1, net)
+        assert got == want
+        assert calls == want_calls
+        witnessed, expected = set(), []
+        for failing_edge, passed in want_solves:
+            if failing_edge not in witnessed:
+                expected.append((failing_edge, passed))
+                if passed:
+                    witnessed.add(failing_edge)
+        assert solves == expected
+        return calls, len(solves)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(branchy_grids(), grids_with_spares()))
+    def test_random_grids(self, net):
+        self.assert_same_as_reference(net)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_NETWORKS))
+    def test_pinned_networks(self, name):
+        # (calls, solves): the reference solves every call on these grids
+        counts = {"demo_double_switch": (13, 7), "feeder_ring": (30, 18), "sevenbus": (7, 5)}
+        assert self.assert_same_as_reference(PINNED_NETWORKS[name]()) == counts[name]
 
 
 class TestStepTwo:

@@ -42,6 +42,16 @@ BAD_WEIGHTS = (
     ('nope', "--weights is not JSON: Expecting value: line 1 column 1 (char 0)"),
 )
 
+# usage errors, each with the start of its one stderr line; argparse's own
+# exit 2 would read as an INSECURE verdict
+USAGE_ERRORS = (
+    (["check", "--network", SEVENBUS, "--k-max", "two"],
+     "gridsec check: error: argument --k-max: invalid int value: 'two'"),
+    (["check"], "gridsec check: error: the following arguments are required: --network"),
+    (["check", "--network", SEVENBUS, "--bogus"], "gridsec: error: unrecognized arguments: --bogus"),
+    (["frob"], "gridsec: error: argument command: invalid choice: 'frob'"),
+)
+
 IS_A_DIRECTORY = os.strerror(errno.EISDIR)
 NO_SUCH_FILE = os.strerror(errno.ENOENT)
 
@@ -64,6 +74,30 @@ def forbid(monkeypatch, module, name):
         raise AssertionError(f"{name} ran before the command failed")
 
     monkeypatch.setattr(module, name, called)
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, message", USAGE_ERRORS,
+        ids=["k-max-not-int", "missing-network", "unknown-flag", "unknown-subcommand"],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["grover", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: gridsec")
+        assert captured.err == ""
 
 
 class TestCheck:

@@ -627,6 +627,15 @@ class TestSearchMatchesEagerSearch:
         assert result.distribution is first
         assert first.dtype == np.float64 and first.shape == (1024,)
 
+    def test_results_compare_by_identity(self):
+        """``marked`` is an array, so value equality would raise; two results
+        compare by identity and hash without touching it."""
+        space = SearchSpace.synthetic(64)
+        first, second = (grover_search(space, Oracle.from_marked({3, 5}, 64), seed=1) for _ in range(2))
+        assert first == first
+        assert first != second
+        assert len({first, second, first}) == 2
+
 
 class TestFromMarkedMatchesUnique:
     @given(
