@@ -93,7 +93,7 @@ class AnnealSchedule:
                 raise ValueError(f"beta range needs finite 0 < min <= max, got {self.beta_range}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: the fields are arrays
 class SampleSet:
     """Aggregated samples, ascending by energy, then by bytes.
 

@@ -34,7 +34,6 @@ from .network import Configuration, Network, Switchover, fundamental_cycles
 from .network import is_spanning_tree  # noqa: F401  (benchmarks/selftest.py checks this name is restored after tracing)
 
 __all__ = [
-    "ReconfigurationList",
     "EdgeVerdict",
     "N1Report",
     "enumerate_reconfigurations",
@@ -51,28 +50,14 @@ SECURE_KN = "SECURE_KN"
 INSECURE = "INSECURE"
 
 
-@dataclass(frozen=True)
-class ReconfigurationList:
-    """Deduplicated k-switchover spanning trees reachable from a base tree."""
-
-    entries: tuple[tuple[Switchover, Configuration], ...]
-    k: int
-    restricted_to: frozenset[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def enumerate_reconfigurations(
     network: Network,
     cfg: Configuration,
     k: int,
     restrict_to: frozenset[int] | None = None,
-) -> ReconfigurationList:
-    """All spanning trees exactly k switchovers from ``cfg``.
+) -> tuple[tuple[Switchover, Configuration], ...]:
+    """All spanning trees exactly k switchovers from ``cfg``, deduplicated,
+    each with its switchover.
 
     Every combination of k fundamental-cycle rows proposes the k inactive
     edges to activate; every choice of one cycle edge per row proposes the
@@ -95,8 +80,7 @@ def enumerate_reconfigurations(
         outside = sorted(restrict_to - cfg.edges)
         raise ValueError(f"cannot restrict to edges {outside}: not in the configuration")
 
-    entries = _reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to)
-    return ReconfigurationList(tuple(entries), k=k, restricted_to=restrict_to)
+    return tuple(_reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to))
 
 
 def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: frozenset[int]):
@@ -225,10 +209,6 @@ class N1Report:
     per_edge: dict[int, EdgeVerdict]
     overall: bool
     loadflow_calls: int
-
-    @property
-    def k_used(self) -> dict[int, int]:
-        return {eid: v.k for eid, v in self.per_edge.items() if v.k is not None}
 
     def as_dict(self) -> dict:
         return {

@@ -186,16 +186,14 @@ def cmd_qubo(args) -> int:
     grid = net.load_network(args.network)
     _check_writable(args.out, args.layout_out)
     qubo, layout = _build_qubo(grid, args)
-    if args.tree_only:
-        layout_doc = {"kind": "tree", "levels": layout.levels, "failing_edge": layout.failing_edge}
-    else:
-        layout_doc = {
-            "kind": "n1",
-            "levels": layout.tree.levels,
-            "failing_edge": layout.tree.failing_edge,
-            "bits": {"u_real": args.bits_u, "u_imag": args.bits_ui, "current": args.bits_i},
-            "group_weights": layout.weights,
-        }
+    layout_doc = {
+        "kind": "tree" if args.tree_only else "n1",
+        "levels": layout.tree.levels,
+        "failing_edge": layout.tree.failing_edge,
+    }
+    if not args.tree_only:
+        layout_doc["bits"] = {"u_real": args.bits_u, "u_imag": args.bits_ui, "current": args.bits_i}
+        layout_doc["group_weights"] = layout.weights
     labels = layout.labels
     layout_doc["variables"] = {str(i): label for i, label in enumerate(labels)}
     _write(args.out, qubo.dumps(labels=labels), "QUBO")

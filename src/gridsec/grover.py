@@ -97,7 +97,7 @@ def index_reconfigurations(network: Network, failing_edge: int, k: int) -> Searc
     entries = enumerate_reconfigurations(
         network, base, k, restrict_to=frozenset({failing_edge})
     )
-    if not len(entries):
+    if not entries:
         raise SearchSpaceError(
             f"no {k}-switchover reconfiguration deactivates edge {failing_edge}"
         )

@@ -33,11 +33,20 @@ One assembler builds these residuals for both QUBOs, given the voltage of
 node ``w`` as seen through edge ``e``: ``U_w`` for a fixed configuration; in
 the combined QUBO the gated product ``y_e * U_w``, linearized with auxiliary
 bits ``z = y * u`` and the pairwise consistency penalty.
+
+Layout
+======
+All three builders return one :class:`QuboLayout`: the variable labels, the
+penalty groups with their weights, a tree part (``node_bits``,
+``edge_bits``), a load-flow part and ``aux_bits[eid, nid, part]``; a builder
+leaves out the parts it has no variables for.  Every quantized value is one
+:class:`Grid`, read as ``voltage[nid, "R" | "I"]`` or ``current[eid]``; an
+OS voltage is a grid with no bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -55,9 +64,8 @@ from .qubo import (
 
 __all__ = [
     "PenaltyWeights",
-    "TreeVarLayout",
-    "LoadflowVarLayout",
-    "N1QuboLayout",
+    "Grid",
+    "QuboLayout",
     "DecodedSolution",
     "default_levels",
     "build_tree_qubo",
@@ -102,15 +110,12 @@ class PenaltyWeights:
         """
         base = 2.0 * max(1, n_edges)
         ind = self.ind if self.ind is not None else base
-        return PenaltyWeights(
+        return replace(
+            self,
             dw=self.dw if self.dw is not None else 4.0 * ind + base,
             root=self.root if self.root is not None else base,
             con=self.con if self.con is not None else base,
             ind=ind,
-            u_real=self.u_real,
-            u_imag=self.u_imag,
-            current=self.current,
-            aux=self.aux,
         )
 
     def validated(self) -> PenaltyWeights:
@@ -123,18 +128,40 @@ class PenaltyWeights:
         return self
 
 
-@dataclass
-class TreeVarLayout:
+@dataclass(frozen=True)
+class Grid:
+    """One quantized value: ``const + sum(coefs[k] * x[bits[k]])``.  A value
+    the network fixes, such as an OS voltage, is a grid with no bits."""
+
+    bits: tuple[int, ...]
+    const: float
+    coefs: tuple[float, ...] = ()
+
+    def form(self) -> tuple[dict[int, float], float]:
+        return dict(zip(self.bits, self.coefs)), self.const
+
+    def value(self, x) -> float:
+        return self.const + sum(c for c, b in zip(self.coefs, self.bits) if x[b])
+
+    def nearest(self, v: float) -> tuple[int, ...]:
+        """Bit values of the grid point nearest to ``v`` (clipped into the range)."""
+        if not self.coefs or self.coefs[0] == 0.0:
+            return tuple(0 for _ in self.coefs)
+        level = int(round((v - self.const) / self.coefs[0]))
+        level = max(0, min((1 << len(self.coefs)) - 1, level))
+        return tuple((level >> k) & 1 for k in range(len(self.coefs)))
+
+
+@dataclass(frozen=True)
+class TreeVars:
+    """Domain-wall depth bits per node and state bits per usable edge."""
+
     levels: int
     node_bits: dict[int, tuple[int, ...]]
     edge_bits: dict[int, tuple[int, ...]]
     edge_endpoints: dict[int, tuple[int, int]]
     active_ids: frozenset[int]
     failing_edge: int | None
-    labels: list[str]
-    num_vars: int
-    groups: dict[str, Qubo] = field(default_factory=dict)
-    weights: dict[str, float] = field(default_factory=dict)
 
     def in_tree_bit(self, edge_id: int) -> int:
         return self.edge_bits[edge_id][-1]
@@ -158,14 +185,53 @@ class TreeVarLayout:
         skip = self.not_in_tree_option()
         return frozenset(eid for eid, opt in options.items() if opt != skip)
 
+
+@dataclass(frozen=True)
+class LoadflowVars:
+    """``voltage[nid, "R" | "I"]`` of every node (OS nodes first) and
+    ``current[eid]`` of every problem edge; ``cfg`` is the fixed
+    configuration, ``None`` in the N-1 QUBO."""
+
+    voltage: dict[tuple[int, str], Grid]
+    current: dict[int, Grid]
+    cfg: Configuration | None
+
+    def decode_voltages(self, bits) -> dict[int, complex]:
+        return {
+            nid: complex(grid.value(bits), self.voltage[nid, "I"].value(bits))
+            for (nid, part), grid in self.voltage.items()
+            if part == "R"
+        }
+
+    def decode_currents(self, bits) -> dict[int, float]:
+        return {eid: grid.value(bits) for eid, grid in self.current.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class QuboLayout:
+    """The variable space of one QUBO: a tree part, a load-flow part or both,
+    coupled by ``aux_bits[eid, nid, part]`` (the bits of ``z = y_e * u``)."""
+
+    labels: list[str]
+    groups: dict[str, Qubo]
+    weights: dict[str, float]
+    tree: TreeVars | None = None
+    loadflow: LoadflowVars | None = None
+    aux_bits: dict[tuple[int, int, str], tuple[int, ...]] = field(default_factory=dict)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.labels)
+
     def encode_tree(self, network: Network, cfg: Configuration, root: int) -> np.ndarray:
         """Canonical zero-penalty encoding of a spanning tree rooted at ``root``."""
+        tree = self.tree
         depth = tree_walk(network, cfg, root)[0]
         if len(depth) != len(network.nodes):
             raise ValueError("configuration does not span all nodes")
         height = max(depth.values())
-        if height > self.levels - 1:
-            raise ValueError(f"tree height {height} exceeds the {self.levels - 1} encodable layers")
+        if height > tree.levels - 1:
+            raise ValueError(f"tree height {height} exceeds the {tree.levels - 1} encodable layers")
 
         bits = np.zeros(self.num_vars, dtype=np.uint8)
 
@@ -173,75 +239,26 @@ class TreeVarLayout:
             for b in var_bits[option:]:
                 bits[b] = 1
 
-        for nid, var_bits in self.node_bits.items():
+        for nid, var_bits in tree.node_bits.items():
             set_option(var_bits, depth[nid])
-        for eid, var_bits in self.edge_bits.items():
-            a, b = self.edge_endpoints[eid]
+        for eid, var_bits in tree.edge_bits.items():
+            a, b = tree.edge_endpoints[eid]
             if eid in cfg.edges:
                 if depth[a] == depth[b] + 1:
                     option = depth[b]
                 elif depth[b] == depth[a] + 1:
-                    option = (self.levels - 1) + depth[a]
+                    option = (tree.levels - 1) + depth[a]
                 else:
                     raise ValueError(f"edge {eid} does not join adjacent layers")
             else:
-                option = self.not_in_tree_option()
+                option = tree.not_in_tree_option()
             set_option(var_bits, option)
         return bits
-
-
-@dataclass
-class LoadflowVarLayout:
-    bits_real: dict[int, tuple[int, ...]]
-    bits_imag: dict[int, tuple[int, ...]]
-    bits_current: dict[int, tuple[int, ...]]
-    enc_real: dict[int, tuple[float, tuple[float, ...]]]
-    enc_imag: dict[int, tuple[float, tuple[float, ...]]]
-    enc_current: dict[int, tuple[float, tuple[float, ...]]]
-    fixed_voltages: dict[int, complex]
-    cfg: Configuration | None
-    labels: list[str]
-    num_vars: int
-    groups: dict[str, Qubo] = field(default_factory=dict)
-    weights: dict[str, float] = field(default_factory=dict)
-
-    def decode_voltages(self, bits) -> dict[int, complex]:
-        voltages = dict(self.fixed_voltages)
-        for nid, var_bits in self.bits_real.items():
-            const, coefs = self.enc_real[nid]
-            real = const + sum(c for c, b in zip(coefs, var_bits) if bits[b])
-            const_i, coefs_i = self.enc_imag[nid]
-            imag = const_i + sum(
-                c for c, b in zip(coefs_i, self.bits_imag[nid]) if bits[b]
-            )
-            voltages[nid] = complex(real, imag)
-        return voltages
-
-    def decode_currents(self, bits) -> dict[int, float]:
-        currents = {}
-        for eid, var_bits in self.bits_current.items():
-            const, coefs = self.enc_current[eid]
-            currents[eid] = const + sum(c for c, b in zip(coefs, var_bits) if bits[b])
-        return currents
-
-
-@dataclass
-class N1QuboLayout:
-    tree: TreeVarLayout
-    loadflow: LoadflowVarLayout
-    aux_bits: dict[tuple[int, int, str], tuple[int, ...]]
-    labels: list[str]
-    num_vars: int
-    groups: dict[str, Qubo] = field(default_factory=dict)
-    weights: dict[str, float] = field(default_factory=dict)
 
     def aux_consistent(self, bits) -> bool:
         for (eid, nid, part), z_bits in self.aux_bits.items():
             gate = bits[self.tree.in_tree_bit(eid)]
-            source = (
-                self.loadflow.bits_real[nid] if part == "R" else self.loadflow.bits_imag[nid]
-            )
-            for u_bit, z_bit in zip(source, z_bits):
+            for u_bit, z_bit in zip(self.loadflow.voltage[nid, part].bits, z_bits):
                 if bits[z_bit] != gate * bits[u_bit]:
                     return False
         return True
@@ -260,7 +277,7 @@ def default_levels(network: Network) -> int:
 
 def _tree_variables(
     network: Network, levels: int, failing_edge: int | None, alloc: VarAllocator
-) -> TreeVarLayout:
+) -> TreeVars:
     if levels < 2:
         raise ValueError(f"need at least 2 depth levels, got {levels}")
     if levels > (cap := default_levels(network)):
@@ -282,15 +299,8 @@ def _tree_variables(
             2 * levels - 2, f"y[e={edge.id}:{edge.n}-{edge.m},{{0}}]"
         )
         edge_endpoints[edge.id] = (edge.n, edge.m)
-    return TreeVarLayout(
-        levels=levels,
-        node_bits=node_bits,
-        edge_bits=edge_bits,
-        edge_endpoints=edge_endpoints,
-        active_ids=network.active_ids - ({failing_edge} if failing_edge is not None else set()),
-        failing_edge=failing_edge,
-        labels=alloc.labels,
-        num_vars=alloc.count,
+    return TreeVars(
+        levels, node_bits, edge_bits, edge_endpoints, network.active_ids - {failing_edge}, failing_edge
     )
 
 
@@ -299,11 +309,11 @@ def _merge_terms(into: dict[int, float], terms: dict[int, float], sign: float = 
         into[var] = into.get(var, 0.0) + sign * coef
 
 
-def _tree_groups(network: Network, layout: TreeVarLayout) -> dict[str, Qubo]:
-    levels = layout.levels
+def _tree_groups(network: Network, tree: TreeVars, n: int) -> dict[str, Qubo]:
+    levels = tree.levels
 
     dw = QuboBuilder()
-    for var_bits in list(layout.node_bits.values()) + list(layout.edge_bits.values()):
+    for var_bits in list(tree.node_bits.values()) + list(tree.edge_bits.values()):
         for a, b in zip(var_bits, var_bits[1:]):
             dw.add_linear(a, 1.0)
             dw.add(a, b, -1.0)
@@ -313,12 +323,12 @@ def _tree_groups(network: Network, layout: TreeVarLayout) -> dict[str, Qubo]:
     os_terms: dict[int, float] = {}
     os_const = 0.0
     for nid in network.os_ids:
-        terms, const = domain_wall_level_terms(layout.node_bits[nid], 0)
+        terms, const = domain_wall_level_terms(tree.node_bits[nid], 0)
         _merge_terms(os_terms, terms)
         os_const += const
     root.add_square(os_terms, os_const - 1.0)
     for nid in network.msr_ids:
-        terms, const = domain_wall_level_terms(layout.node_bits[nid], 0)
+        terms, const = domain_wall_level_terms(tree.node_bits[nid], 0)
         root.add_offset(const)
         for var, coef in terms.items():
             root.add_linear(var, coef)
@@ -327,41 +337,41 @@ def _tree_groups(network: Network, layout: TreeVarLayout) -> dict[str, Qubo]:
     con = QuboBuilder()
     incident_first: dict[int, list[int]] = {node.id: [] for node in network.nodes}
     incident_second: dict[int, list[int]] = {node.id: [] for node in network.nodes}
-    for eid, (a, b) in layout.edge_endpoints.items():
+    for eid, (a, b) in tree.edge_endpoints.items():
         incident_first[a].append(eid)
         incident_second[b].append(eid)
     for node in network.nodes:
         for depth in range(1, levels):
             form: dict[int, float] = {}
-            terms, const = domain_wall_level_terms(layout.node_bits[node.id], depth)
+            terms, const = domain_wall_level_terms(tree.node_bits[node.id], depth)
             _merge_terms(form, terms)
             total_const = const
             for eid in incident_first[node.id]:
-                terms, const = domain_wall_level_terms(layout.edge_bits[eid], depth - 1)
+                terms, const = domain_wall_level_terms(tree.edge_bits[eid], depth - 1)
                 _merge_terms(form, terms, sign=-1.0)
                 total_const -= const
             for eid in incident_second[node.id]:
                 option = (levels - 1) + (depth - 1)
-                terms, const = domain_wall_level_terms(layout.edge_bits[eid], option)
+                terms, const = domain_wall_level_terms(tree.edge_bits[eid], option)
                 _merge_terms(form, terms, sign=-1.0)
                 total_const -= const
             con.add_square(form, total_const)
 
     # an in-tree edge at layer l must see its endpoints at depths l and l + 1
     ind = QuboBuilder()
-    for eid, (a, b) in layout.edge_endpoints.items():
+    for eid, (a, b) in tree.edge_endpoints.items():
         for layer in range(levels - 1):
             for option, deep, shallow in (
                 (layer, a, b),
                 ((levels - 1) + layer, b, a),
             ):
-                y_terms, y_const = domain_wall_level_terms(layout.edge_bits[eid], option)
+                y_terms, y_const = domain_wall_level_terms(tree.edge_bits[eid], option)
                 factor: dict[int, float] = {}
                 deep_terms, deep_const = domain_wall_level_terms(
-                    layout.node_bits[deep], layer + 1
+                    tree.node_bits[deep], layer + 1
                 )
                 shallow_terms, shallow_const = domain_wall_level_terms(
-                    layout.node_bits[shallow], layer
+                    tree.node_bits[shallow], layer
                 )
                 _merge_terms(factor, deep_terms, sign=-1.0)
                 _merge_terms(factor, shallow_terms, sign=-1.0)
@@ -369,17 +379,16 @@ def _tree_groups(network: Network, layout: TreeVarLayout) -> dict[str, Qubo]:
 
     # switches: active edges dropped plus inactive edges picked up
     obj = QuboBuilder()
-    if layout.failing_edge is not None:
+    if tree.failing_edge is not None:
         obj.add_offset(1.0)
-    for eid in sorted(layout.edge_bits):
-        gate = layout.in_tree_bit(eid)
-        if eid in layout.active_ids:
+    for eid in sorted(tree.edge_bits):
+        gate = tree.in_tree_bit(eid)
+        if eid in tree.active_ids:
             obj.add_offset(1.0)
             obj.add_linear(gate, -1.0)
         else:
             obj.add_linear(gate, 1.0)
 
-    n = layout.num_vars
     return {
         "domain_wall": dw.build(n),
         "root": root.build(n),
@@ -394,20 +403,22 @@ def build_tree_qubo(
     levels: int,
     weights: PenaltyWeights | None = None,
     failing_edge: int | None = None,
-    alloc: VarAllocator | None = None,
-) -> tuple[Qubo, TreeVarLayout]:
+) -> tuple[Qubo, QuboLayout]:
     """Spanning-tree QUBO whose zero-penalty states are exactly the encodings
     of OS-rooted spanning trees of height <= levels - 1, with energy equal to
     the number of switches away from the active set.
     """
-    weights = (weights or PenaltyWeights()).validated().resolved(
-        len(network.edges) - (1 if failing_edge is not None else 0)
+    weights = _resolved(weights, network, failing_edge)
+    alloc = VarAllocator()
+    tree = _tree_variables(network, levels, failing_edge, alloc)
+    groups = _tree_groups(network, tree, alloc.count)
+    return _with_qubo(QuboLayout(alloc.labels, groups, _tree_weights(weights), tree=tree))
+
+
+def _resolved(weights: PenaltyWeights | None, network: Network, failing_edge: int | None) -> PenaltyWeights:
+    return (weights or PenaltyWeights()).validated().resolved(
+        len(network.edges) - (failing_edge is not None)
     )
-    alloc = alloc or VarAllocator()
-    layout = _tree_variables(network, levels, failing_edge, alloc)
-    layout.groups = _tree_groups(network, layout)
-    layout.weights = _tree_weights(weights)
-    return _weighted_sum(layout.groups, layout.weights, layout.num_vars), layout
 
 
 def _tree_weights(weights: PenaltyWeights) -> dict[str, float]:
@@ -428,24 +439,17 @@ def _residual_weights(weights: PenaltyWeights) -> dict[str, float]:
     }
 
 
-def _weighted_sum(groups: dict[str, Qubo], weights: dict[str, float], n: int) -> Qubo:
-    total = QuboBuilder(n)
-    for name, group in groups.items():
-        total.add_qubo(group, weights[name])
-    return total.build(n)
+def _with_qubo(layout: QuboLayout) -> tuple[Qubo, QuboLayout]:
+    """The weighted sum of the layout's groups, and the layout."""
+    total = QuboBuilder(layout.num_vars)
+    for name, group in layout.groups.items():
+        total.add_qubo(group, layout.weights[name])
+    return total.build(layout.num_vars), layout
 
 
 # ---------------------------------------------------------------------------
 # load-flow QUBO
 # ---------------------------------------------------------------------------
-
-def _affine_encoding(lo: float, hi: float, nbits: int, half_step_up: bool):
-    """Binary grid over [lo, hi]: value = const + sum coef_k * bit_k."""
-    step = (hi - lo) / float(1 << nbits)
-    const = lo + (step if half_step_up else 0.0)
-    coefs = tuple(step * (1 << k) for k in range(nbits))
-    return const, coefs
-
 
 def _loadflow_variables(
     network: Network,
@@ -455,34 +459,31 @@ def _loadflow_variables(
     bits_current: int,
     cfg: Configuration | None,
     alloc: VarAllocator,
-) -> LoadflowVarLayout:
+) -> LoadflowVars:
     for name, value in (("bits_real", bits_real), ("bits_imag", bits_imag), ("bits_current", bits_current)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    layout = LoadflowVarLayout(
-        bits_real={},
-        bits_imag={},
-        bits_current={},
-        enc_real={},
-        enc_imag={},
-        enc_current={},
-        fixed_voltages={nid: complex(network.node_by_id[nid].u_nom) for nid in network.os_ids},
-        cfg=cfg,
-        labels=alloc.labels,
-        num_vars=0,
-    )
+
+    def grid(nbits: int, label: str, lo: float, hi: float, lowest_raised: bool) -> Grid:
+        """``nbits`` fresh bits on a binary grid over [lo, hi]; its lowest point
+        is raised by one step when ``lowest_raised``."""
+        step = (hi - lo) / float(1 << nbits)
+        coefs = tuple(step * (1 << k) for k in range(nbits))
+        return Grid(alloc.new_block(nbits, label), lo + (step if lowest_raised else 0.0), coefs)
+
+    voltage: dict[tuple[int, str], Grid] = {}
+    for nid in network.os_ids:
+        u = complex(network.node_by_id[nid].u_nom)
+        voltage[nid, "R"], voltage[nid, "I"] = Grid((), u.real), Grid((), u.imag)
     for nid in network.msr_ids:
         node = network.node_by_id[nid]
-        layout.bits_real[nid] = alloc.new_block(bits_real, f"uR[n={nid},{{0}}]")
-        layout.enc_real[nid] = _affine_encoding(node.u_min, node.u_max, bits_real, True)
-        layout.bits_imag[nid] = alloc.new_block(bits_imag, f"uI[n={nid},{{0}}]")
-        layout.enc_imag[nid] = _affine_encoding(-0.1 * node.u_min, 0.1 * node.u_min, bits_imag, False)
+        voltage[nid, "R"] = grid(bits_real, f"uR[n={nid},{{0}}]", node.u_min, node.u_max, True)
+        voltage[nid, "I"] = grid(bits_imag, f"uI[n={nid},{{0}}]", -0.1 * node.u_min, 0.1 * node.u_min, False)
+    current = {}
     for eid in current_edges:
-        edge = network.edge_by_id[eid]
-        layout.bits_current[eid] = alloc.new_block(bits_current, f"i[e={eid},{{0}}]")
-        layout.enc_current[eid] = _affine_encoding(-edge.i_max, edge.i_max, bits_current, True)
-    layout.num_vars = alloc.count
-    return layout
+        i_max = network.edge_by_id[eid].i_max
+        current[eid] = grid(bits_current, f"i[e={eid},{{0}}]", -i_max, i_max, True)
+    return LoadflowVars(voltage, current, cfg)
 
 
 def _add_equation(builder: QuboBuilder, form: dict[int, float], const: float) -> None:
@@ -499,25 +500,12 @@ def _add_equation(builder: QuboBuilder, form: dict[int, float], const: float) ->
     builder.add_square({v: c / magnitude for v, c in form.items()}, const / magnitude)
 
 
-def _voltage_form(layout: LoadflowVarLayout, nid: int, part: str) -> tuple[dict[int, float], float]:
-    """Direct (ungated) U^R or U^I of a node as an affine form over bits."""
-    if nid in layout.fixed_voltages:
-        fixed = layout.fixed_voltages[nid]
-        return {}, (fixed.real if part == "R" else fixed.imag)
-    if part == "R":
-        const, coefs = layout.enc_real[nid]
-        bits = layout.bits_real[nid]
-    else:
-        const, coefs = layout.enc_imag[nid]
-        bits = layout.bits_imag[nid]
-    return {b: c for b, c in zip(bits, coefs)}, const
-
-
 def _residual_groups(
     network: Network,
-    layout: LoadflowVarLayout,
+    lf: LoadflowVars,
     edge_ids: list[int],
     voltage: Callable[[int, int, str], tuple[dict[int, float], float]],
+    n: int,
 ) -> dict[str, Qubo]:
     """Balance and current residual groups over the given edges.
 
@@ -526,8 +514,8 @@ def _residual_groups(
     configuration, the gated product ``y_e * U_nid`` in the N-1 QUBO.  The
     load injection always uses the node's own form.
     """
-    real_group = QuboBuilder(layout.num_vars)
-    imag_group = QuboBuilder(layout.num_vars)
+    real_group = QuboBuilder(n)
+    imag_group = QuboBuilder(n)
     adj: dict[int, list[int]] = {node.id: [] for node in network.nodes}
     for eid in edge_ids:
         edge = network.edge_by_id[eid]
@@ -552,8 +540,8 @@ def _residual_groups(
     for nid in network.msr_ids:
         node = network.node_by_id[nid]
         y_load = admittance(node.load, node.u_nom)
-        ur_terms, ur_const = _voltage_form(layout, nid, "R")
-        ui_terms, ui_const = _voltage_form(layout, nid, "I")
+        ur_terms, ur_const = lf.voltage[nid, "R"].form()
+        ui_terms, ui_const = lf.voltage[nid, "I"].form()
 
         real_form: dict[int, float] = {}
         imag_form: dict[int, float] = {}
@@ -576,19 +564,18 @@ def _residual_groups(
         _add_equation(real_group, real_form, real_const)
         _add_equation(imag_group, imag_form, imag_const)
 
-    current_group = QuboBuilder(layout.num_vars)
-    for eid, var_bits in layout.bits_current.items():
+    current_group = QuboBuilder(n)
+    for eid, grid in lf.current.items():
         edge = network.edge_by_id[eid]
         inv_z = 1.0 / edge.z
-        const_i, coefs_i = layout.enc_current[eid]
-        form: dict[int, float] = dict(zip(var_bits, coefs_i))
+        form, const_i = grid.form()
         const_i += add_flow(form, eid, edge.n, edge.m, inv_z.real, inv_z.imag)
         _add_equation(current_group, form, const_i)
 
     return {
-        "residual_real": real_group.build(layout.num_vars),
-        "residual_imag": imag_group.build(layout.num_vars),
-        "current": current_group.build(layout.num_vars),
+        "residual_real": real_group.build(n),
+        "residual_imag": imag_group.build(n),
+        "current": current_group.build(n),
     }
 
 
@@ -599,24 +586,20 @@ def build_loadflow_qubo(
     bits_imag: int = 4,
     bits_current: int = 4,
     weights: PenaltyWeights | None = None,
-    alloc: VarAllocator | None = None,
-) -> tuple[Qubo, LoadflowVarLayout]:
+) -> tuple[Qubo, QuboLayout]:
     """Squared-residual penalties of the discretized balance equations for a
     fixed configuration.  Current variables exist only for problem edges of
     the configuration; every other rated edge cannot be violated while the
     voltages stay inside their encoded bands.
     """
-    weights = (weights or PenaltyWeights()).validated().resolved(len(network.edges))
-    alloc = alloc or VarAllocator()
+    weights = _resolved(weights, network, None)
+    alloc = VarAllocator()
     current_edges = sorted(problem_edges(network) & cfg.edges)
-    layout = _loadflow_variables(
-        network, current_edges, bits_real, bits_imag, bits_current, cfg, alloc
+    lf = _loadflow_variables(network, current_edges, bits_real, bits_imag, bits_current, cfg, alloc)
+    groups = _residual_groups(
+        network, lf, sorted(cfg.edges), lambda eid, nid, part: lf.voltage[nid, part].form(), alloc.count
     )
-    layout.groups = _residual_groups(
-        network, layout, sorted(cfg.edges), lambda eid, nid, part: _voltage_form(layout, nid, part)
-    )
-    layout.weights = _residual_weights(weights)
-    return _weighted_sum(layout.groups, layout.weights, layout.num_vars), layout
+    return _with_qubo(QuboLayout(alloc.labels, groups, _residual_weights(weights), loadflow=lf))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +614,7 @@ def build_n1_qubo(
     bits_imag: int = 4,
     bits_current: int = 4,
     weights: PenaltyWeights | None = None,
-) -> tuple[Qubo, N1QuboLayout]:
+) -> tuple[Qubo, QuboLayout]:
     """Tree search and load-flow residuals coupled through the edge
     membership bits.
 
@@ -640,85 +623,51 @@ def build_n1_qubo(
     ``z = y * u`` with the pairwise consistency penalty, so an edge outside
     the tree contributes nothing to any balance equation.
     """
-    weights = (weights or PenaltyWeights()).validated().resolved(
-        len(network.edges) - (1 if failing_edge is not None else 0)
-    )
+    weights = _resolved(weights, network, failing_edge)
     if levels is None:
         levels = default_levels(network)
     alloc = VarAllocator()
-    tree_layout = _tree_variables(network, levels, failing_edge, alloc)
-    current_edges = sorted(problem_edges(network) - ({failing_edge} if failing_edge is not None else set()))
-    lf_layout = _loadflow_variables(
-        network, current_edges, bits_real, bits_imag, bits_current, None, alloc
-    )
+    tree = _tree_variables(network, levels, failing_edge, alloc)
+    current_edges = sorted(problem_edges(network) - {failing_edge})
+    lf = _loadflow_variables(network, current_edges, bits_real, bits_imag, bits_current, None, alloc)
 
     # auxiliary products z = y_e * u_w for every usable edge / MSR endpoint
     aux_bits: dict[tuple[int, int, str], tuple[int, ...]] = {}
-    for eid in sorted(tree_layout.edge_bits):
-        a, b = tree_layout.edge_endpoints[eid]
-        for nid in (a, b):
-            if nid in lf_layout.fixed_voltages:
-                continue
-            aux_bits[(eid, nid, "R")] = alloc.new_block(
-                bits_real, f"z[e={eid},n={nid},R,{{0}}]"
-            )
-            aux_bits[(eid, nid, "I")] = alloc.new_block(
-                bits_imag, f"z[e={eid},n={nid},I,{{0}}]"
-            )
-
-    num_vars = alloc.count
-    tree_layout.num_vars = num_vars
-    lf_layout.num_vars = num_vars
-    tree_layout.groups = _tree_groups(network, tree_layout)
-    tree_layout.weights = _tree_weights(weights)
+    for eid in sorted(tree.edge_bits):
+        for nid in tree.edge_endpoints[eid]:
+            for part in "RI":
+                if source := lf.voltage[nid, part].bits:
+                    aux_bits[eid, nid, part] = alloc.new_block(
+                        len(source), f"z[e={eid},n={nid},{part},{{0}}]"
+                    )
+    n = alloc.count
 
     def gated_voltage(eid: int, nid: int, part: str) -> tuple[dict[int, float], float]:
-        """Affine form of y_e * U_nid over (gate, z) bits."""
-        gate = tree_layout.in_tree_bit(eid)
-        if nid in lf_layout.fixed_voltages:
-            fixed = lf_layout.fixed_voltages[nid]
-            value = fixed.real if part == "R" else fixed.imag
-            return {gate: value}, 0.0
-        if part == "R":
-            const, coefs = lf_layout.enc_real[nid]
-        else:
-            const, coefs = lf_layout.enc_imag[nid]
-        form = {z: c for z, c in zip(aux_bits[(eid, nid, part)], coefs)}
-        form[gate] = form.get(gate, 0.0) + const
+        """Affine form of y_e * U_nid over (z, gate) bits."""
+        grid = lf.voltage[nid, part]
+        form = dict(zip(aux_bits.get((eid, nid, part), ()), grid.coefs))
+        form[tree.in_tree_bit(eid)] = grid.const
         return form, 0.0
 
-    lf_layout.groups = _residual_groups(
-        network, lf_layout, sorted(tree_layout.edge_bits), gated_voltage
-    )
-    lf_layout.weights = _residual_weights(weights)
+    groups = {
+        **_tree_groups(network, tree, n),
+        **_residual_groups(network, lf, sorted(tree.edge_bits), gated_voltage, n),
+    }
+    group_weights = {**_tree_weights(weights), **_residual_weights(weights), "aux": 1.0}
 
     # Per-bit consistency weights: each z bit must out-penalize exactly the
     # residual energy it could shave off when misaligned, nothing more.  A
     # uniform worst-case weight (driven by the stiffest cable) would wall off
     # every edge-membership flip and strand the sampler.
-    impact = _flip_impact(
-        [(group, lf_layout.weights[name]) for name, group in lf_layout.groups.items()]
-    )
-    aux_group = QuboBuilder(num_vars)
+    impact = _flip_impact([(groups[name], w) for name, w in _residual_weights(weights).items()])
+    aux_group = QuboBuilder(n)
     for (eid, nid, part), z_bits in sorted(aux_bits.items()):
-        gate = tree_layout.in_tree_bit(eid)
-        source = lf_layout.bits_real[nid] if part == "R" else lf_layout.bits_imag[nid]
-        for u_bit, z_bit in zip(source, z_bits):
+        gate = tree.in_tree_bit(eid)
+        for u_bit, z_bit in zip(lf.voltage[nid, part].bits, z_bits):
             bit_weight = weights.aux if weights.aux is not None else 1.0 + impact.get(z_bit, 0.0)
             aux_group.add_qubo(pair_reduction_penalty(gate, u_bit, z_bit), bit_weight)
-
-    groups = {**tree_layout.groups, **lf_layout.groups, "aux": aux_group.build(num_vars)}
-    group_weights = {**tree_layout.weights, **lf_layout.weights, "aux": 1.0}
-    layout = N1QuboLayout(
-        tree=tree_layout,
-        loadflow=lf_layout,
-        aux_bits=aux_bits,
-        labels=alloc.labels,
-        num_vars=num_vars,
-        groups=groups,
-        weights=group_weights,
-    )
-    return _weighted_sum(groups, group_weights, num_vars), layout
+    groups["aux"] = aux_group.build(n)
+    return _with_qubo(QuboLayout(alloc.labels, groups, group_weights, tree, lf, aux_bits))
 
 
 def _flip_impact(weighted_groups: list[tuple[Qubo, float]]) -> dict[int, float]:
@@ -771,9 +720,7 @@ def is_feasible(penalties: dict[str, float] | dict[str, np.ndarray]):
     return verdict
 
 
-def decode_solution(
-    bits, layout: TreeVarLayout | LoadflowVarLayout | N1QuboLayout
-) -> DecodedSolution:
+def decode_solution(bits, layout: QuboLayout) -> DecodedSolution:
     """Evaluate every penalty group and read the bits back into the domain.
 
     A bitstring is feasible when every structural group (domain wall, root,
@@ -782,33 +729,19 @@ def decode_solution(
     feasibility, since they carry an irreducible quantization floor.
     """
     bits = np.asarray(bits).astype(np.uint8)
-
-    tree = layout.tree if isinstance(layout, N1QuboLayout) else (
-        layout if isinstance(layout, TreeVarLayout) else None
-    )
-    lf = layout.loadflow if isinstance(layout, N1QuboLayout) else (
-        layout if isinstance(layout, LoadflowVarLayout) else None
-    )
-
+    tree, lf = layout.tree, layout.loadflow
     penalties = {name: group.evaluate(bits) for name, group in layout.groups.items()}
-    aux_consistent = layout.aux_consistent(bits) if isinstance(layout, N1QuboLayout) else None
     feasible = bool(is_feasible(penalties))
-
     selected = tree.decode_selected_edges(bits) if tree is not None else None
-    depths = tree.decode_depths(bits) if tree is not None else None
-    configuration = None
-    if tree is not None and feasible and selected is not None:
-        configuration = Configuration(selected)
-
     return DecodedSolution(
         feasible=feasible,
-        configuration=configuration,
+        configuration=Configuration(selected) if feasible and selected is not None else None,
         selected_edges=selected,
-        depths=depths,
+        depths=tree.decode_depths(bits) if tree is not None else None,
         penalties=penalties,
         voltages=lf.decode_voltages(bits) if lf is not None else None,
         currents=lf.decode_currents(bits) if lf is not None else None,
-        aux_consistent=aux_consistent,
+        aux_consistent=layout.aux_consistent(bits) if tree is not None and lf is not None else None,
     )
 
 
@@ -816,43 +749,31 @@ def decode_solution(
 # quantization reference
 # ---------------------------------------------------------------------------
 
-def _round_onto(value: float, const: float, coefs: tuple[float, ...]) -> tuple[int, ...]:
-    """Bits of the grid point nearest to ``value`` (clipped into the range)."""
-    if not coefs or coefs[0] == 0.0:
-        return tuple(0 for _ in coefs)
-    step = coefs[0]
-    level = int(round((value - const) / step))
-    level = max(0, min((1 << len(coefs)) - 1, level))
-    return tuple((level >> k) & 1 for k in range(len(coefs)))
-
-
-def rounded_reference_bits(layout: LoadflowVarLayout, network: Network) -> np.ndarray:
+def rounded_reference_bits(layout: QuboLayout, network: Network) -> np.ndarray:
     """Nearest-grid encoding of the continuous load-flow solution.
 
-    Only defined for fixed-configuration layouts; voltages come from the
-    exact tree solve and currents from its compliance check, each rounded
-    independently onto its grid (currents clipped into their range).
+    Only defined for fixed-configuration layouts (``ValueError`` otherwise);
+    voltages come from the exact tree solve and currents from its compliance
+    check, each rounded independently onto its grid (currents clipped into
+    their range).
     """
-    if layout.cfg is None:
+    if layout.loadflow is None or layout.loadflow.cfg is None:
         raise ValueError("reference rounding needs a fixed-configuration layout")
-    solution = solve_tree(network, layout.cfg)
-    flows = check_compliance(network, layout.cfg, solution).currents
+    lf = layout.loadflow
+    solution = solve_tree(network, lf.cfg)
+    flows = check_compliance(network, lf.cfg, solution).currents
+    targets = [(lf.voltage[nid, "R"], u.real) for nid, u in solution.u.items()]
+    targets += [(lf.voltage[nid, "I"], u.imag) for nid, u in solution.u.items()]
+    targets += [(grid, flows[eid].real) for eid, grid in lf.current.items()]
     bits = np.zeros(layout.num_vars, dtype=np.uint8)
-    for nid, var_bits in layout.bits_real.items():
-        const, coefs = layout.enc_real[nid]
-        for b, v in zip(var_bits, _round_onto(solution.u[nid].real, const, coefs)):
-            bits[b] = v
-        const_i, coefs_i = layout.enc_imag[nid]
-        for b, v in zip(layout.bits_imag[nid], _round_onto(solution.u[nid].imag, const_i, coefs_i)):
-            bits[b] = v
-    for eid, var_bits in layout.bits_current.items():
-        const, coefs = layout.enc_current[eid]
-        for b, v in zip(var_bits, _round_onto(flows[eid].real, const, coefs)):
+    for grid, value in targets:
+        for b, v in zip(grid.bits, grid.nearest(value)):
             bits[b] = v
     return bits
 
 
-def quantization_epsilon(qubo: Qubo, layout: LoadflowVarLayout, network: Network) -> float:
+def quantization_epsilon(qubo: Qubo, layout: QuboLayout, network: Network) -> float:
     """Energy of the rounded continuous solution: the quantization floor used
-    to declare a configuration feasible (minimum <= 2 * epsilon)."""
+    to declare a configuration feasible (minimum <= 2 * epsilon).  Raises
+    ``ValueError`` on a layout without a fixed configuration."""
     return qubo.evaluate(rounded_reference_bits(layout, network))

@@ -133,7 +133,7 @@ def zero_tree_penalty_strings(layout, chunk: int = 1 << 17) -> list[np.ndarray]:
     every combination of wall positions and filter the remaining groups.
     The enumeration is mixed-radix and fully vectorized.
     """
-    blocks = list(layout.node_bits.values()) + list(layout.edge_bits.values())
+    blocks = list(layout.tree.node_bits.values()) + list(layout.tree.edge_bits.values())
     options = [len(b) + 1 for b in blocks]
     total = int(np.prod(options))
     strides = np.ones(len(blocks), dtype=np.int64)

@@ -81,7 +81,7 @@ def test_criterion_1_classical_end_to_end(sevenbus):
         sevenbus, sevenbus.initial_configuration(), 1, restrict_to=frozenset({2})
     )
     assert len(space) == 1
-    switch, candidate = space.entries[0]
+    switch, candidate = space[0]
     assert switch.activate == frozenset({4})
     assert switch.deactivate == frozenset({2})
     assert candidate.edges == GOOD_SWAP
@@ -223,10 +223,10 @@ def _granularity(layout, edge):
     """Largest current step the voltage grids of the edge's MSR endpoints
     can express: |1/z| times the coarser of the real and imaginary steps."""
     steps = [
-        enc[nid][1][0]
+        layout.loadflow.voltage[nid, part].coefs[0]
         for nid in (edge.n, edge.m)
-        if nid in layout.enc_real
-        for enc in (layout.enc_real, layout.enc_imag)
+        if layout.loadflow.voltage[nid, "R"].bits
+        for part in ("R", "I")
     ]
     return abs(1.0 / edge.z) * max(steps)
 
@@ -245,7 +245,7 @@ def _residual_rows(network, cfg, layout):
     nodes = sorted(network.node_by_id)
     column = {nid: k for k, nid in enumerate(nodes)}
     msr = list(network.msr_ids)
-    edges = sorted(layout.bits_current)
+    edges = sorted(layout.loadflow.current)
     balance = np.zeros((len(msr), len(nodes)), dtype=complex)
     for row, nid in enumerate(msr):
         node = network.node_by_id[nid]
@@ -267,14 +267,14 @@ def _residual_rows(network, cfg, layout):
         [balance.imag, balance.real, np.zeros((len(msr), len(edges)))],
         [flow.real, -flow.imag, np.eye(len(edges))],
     ])
-    fixed = layout.fixed_voltages
+    voltage = layout.loadflow.voltage
     grids = (
-        [layout.enc_real.get(nid, (fixed.get(nid, 0j).real, (0.0,))) for nid in nodes]
-        + [layout.enc_imag.get(nid, (fixed.get(nid, 0j).imag, (0.0,))) for nid in nodes]
-        + [layout.enc_current[eid] for eid in edges]
+        [voltage[nid, "R"] for nid in nodes]
+        + [voltage[nid, "I"] for nid in nodes]
+        + [layout.loadflow.current[eid] for eid in edges]
     )
-    base = np.array([const for const, _ in grids])
-    top = np.array([max(coefs) for _, coefs in grids])
+    base = np.array([grid.const for grid in grids])
+    top = np.array([max(grid.coefs, default=0.0) for grid in grids])
     weight = np.repeat(
         [layout.weights["residual_real"], layout.weights["residual_imag"], layout.weights["current"]],
         [len(msr), len(msr), len(edges)],
@@ -286,8 +286,8 @@ def _residual_rows(network, cfg, layout):
 def _values(layout, bits):
     """Decoded value vector of a bitstring, in the column order of
     ``_residual_rows``."""
-    u = layout.decode_voltages(bits)
-    currents = layout.decode_currents(bits)
+    u = layout.loadflow.decode_voltages(bits)
+    currents = layout.loadflow.decode_currents(bits)
     return np.array(
         [u[nid].real for nid in sorted(u)]
         + [u[nid].imag for nid in sorted(u)]

@@ -339,6 +339,17 @@ class TestSampleSet:
         assert samples.energies.tobytes() == energies[order].tobytes()
         assert samples.multiplicities.tobytes() == counts[order].tobytes()
 
+    def test_sample_sets_compare_by_identity(self):
+        """The fields are arrays, so value equality would raise; two sample
+        sets over the same rows compare by identity and hash without
+        touching them."""
+        qubo = Qubo(3, {(0, 1): 1.0, (2, 2): -1.0})
+        rows = np.array([[0, 1, 1], [1, 1, 0], [0, 1, 1]])
+        first, second = (SampleSet.from_states(qubo, rows) for _ in range(2))
+        assert first == first
+        assert first != second
+        assert len({first, second, first}) == 2
+
 
 class TestSteepestDescent:
     def test_local_minimum_is_fixed_point(self):

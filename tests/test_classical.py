@@ -145,7 +145,7 @@ class TestEnumeration:
         cfg = sevenbus.initial_configuration()
         entries = enumerate_reconfigurations(sevenbus, cfg, 1, restrict_to=frozenset({2}))
         assert len(entries) == 1
-        switch, _ = entries.entries[0]
+        switch, _ = entries[0]
         assert switch.activate == frozenset({4})
         assert switch.deactivate == frozenset({2})
 
@@ -396,7 +396,8 @@ class TestFullCheck:
             8: SECURE_K1,
         }
         assert report.overall is False
-        assert report.k_used == {2: 1, 3: 1, 7: 1, 8: 1}
+        k_used = {eid: v.k for eid, v in report.per_edge.items() if v.k is not None}
+        assert k_used == {2: 1, 3: 1, 7: 1, 8: 1}
 
     def test_overall_matches_brute_force(self, sevenbus):
         """Per-edge security agrees with exhaustive k=1 search."""

@@ -9,6 +9,7 @@ from gridsec.network import Configuration
 from gridsec.n1qubo import (
     build_loadflow_qubo,
     build_n1_qubo,
+    build_tree_qubo,
     decode_solution,
     quantization_epsilon,
     rounded_reference_bits,
@@ -41,22 +42,22 @@ class TestEncodings:
         probes = [np.zeros(layout.num_vars), np.ones(layout.num_vars)]
         probes += [rng.integers(0, 2, layout.num_vars) for _ in range(50)]
         for bits in probes:
-            voltages = layout.decode_voltages(bits)
-            for nid, bits_r in layout.bits_real.items():
+            voltages = layout.loadflow.decode_voltages(bits)
+            for nid in sevenbus.msr_ids:
                 node = sevenbus.node_by_id[nid]
                 assert node.u_min <= voltages[nid].real <= node.u_max
                 assert -0.1 * node.u_min <= voltages[nid].imag <= 0.1 * node.u_min
-            currents = layout.decode_currents(bits)
+            currents = layout.loadflow.decode_currents(bits)
             for eid, value in currents.items():
                 assert abs(value) <= sevenbus.edge_by_id[eid].i_max + 1e-9
 
     def test_current_grid_contains_zero(self, sevenbus):
         _, layout = build_loadflow_qubo(sevenbus, Configuration(CFG_GOOD), 4, 4, 4)
-        for eid, (const, coefs) in layout.enc_current.items():
-            step = coefs[0] if coefs else 0.0
+        for eid, grid in layout.loadflow.current.items():
+            step = grid.coefs[0] if grid.coefs else 0.0
             if step:
-                level = round((0.0 - const) / step)
-                assert const + step * level == pytest.approx(0.0, abs=1e-9)
+                level = round((0.0 - grid.const) / step)
+                assert grid.const + step * level == pytest.approx(0.0, abs=1e-9)
 
     def test_grid_refinement_is_nested(self):
         """Every K-bit voltage grid point reappears on the (K+1)-bit grid."""
@@ -65,8 +66,9 @@ class TestEncodings:
         for bits in (2, 3, 4):
             _, coarse = build_loadflow_qubo(net, cfg, bits, bits, bits)
             _, fine = build_loadflow_qubo(net, cfg, bits + 1, bits + 1, bits + 1)
-            c0, cc = coarse.enc_real[1]
-            f0, fc = fine.enc_real[1]
+            coarse_r, fine_r = coarse.loadflow.voltage[1, "R"], fine.loadflow.voltage[1, "R"]
+            c0, cc = coarse_r.const, coarse_r.coefs
+            f0, fc = fine_r.const, fine_r.coefs
             coarse_grid = {c0 + sum(c for c, b in zip(cc, combo) if b)
                            for combo in itertools.product((0, 1), repeat=bits)}
             fine_grid = {f0 + sum(c for c, b in zip(fc, combo) if b)
@@ -89,25 +91,25 @@ class TestFixedConfiguration:
         cfg = net.initial_configuration()
         qubo, layout = build_loadflow_qubo(net, cfg, 4, 4, 1)
         bits, energy = exhaustive_min(qubo)
-        voltage = layout.decode_voltages(bits)[1]
+        voltage = layout.loadflow.decode_voltages(bits)[1]
         step = (11000.0 - 9800.0) / 2**4
         assert abs(voltage.real - 10500.0) <= step
         assert abs(voltage.imag) <= 0.2 * 9800.0 / 2**4
 
     def test_problem_edge_filter_applied(self, sevenbus):
         _, layout = build_loadflow_qubo(sevenbus, Configuration(CFG_GOOD), 4, 4, 4)
-        assert set(layout.bits_current) == set(problem_edges(sevenbus) & CFG_GOOD)
+        assert set(layout.loadflow.current) == set(problem_edges(sevenbus) & CFG_GOOD)
         relaxed = make_network(2, [(0, 1)], {1}, i_max={1: 1e9})
         _, layout2 = build_loadflow_qubo(relaxed, relaxed.initial_configuration(), 4, 4, 4)
-        assert layout2.bits_current == {}
+        assert layout2.loadflow.current == {}
 
     def test_rounded_reference_close_to_continuous(self, sevenbus):
         cfg = Configuration(CFG_GOOD)
         qubo, layout = build_loadflow_qubo(sevenbus, cfg, 6, 6, 6)
         bits = rounded_reference_bits(layout, sevenbus)
         solution = solve_loadflow(assemble_system(sevenbus, cfg))
-        decoded = layout.decode_voltages(bits)
-        for nid in layout.bits_real:
+        decoded = layout.loadflow.decode_voltages(bits)
+        for nid in sevenbus.msr_ids:
             node = sevenbus.node_by_id[nid]
             step_r = (node.u_max - node.u_min) / 2**6
             step_i = 0.2 * node.u_min / 2**6
@@ -139,6 +141,18 @@ class TestFixedConfiguration:
             assert np.array_equal(bits, rounded_reference_bits(layout, sevenbus))
             assert eps == quantization_epsilon(qubo, layout, sevenbus)
 
+    @pytest.mark.parametrize("build", [
+        lambda net: build_tree_qubo(net, 4, failing_edge=2),
+        lambda net: build_n1_qubo(net, failing_edge=2, levels=4),
+    ], ids=["tree", "n1"])
+    def test_reference_needs_fixed_configuration(self, sevenbus, build):
+        qubo, layout = build(sevenbus)
+        message = "reference rounding needs a fixed-configuration layout"
+        with pytest.raises(ValueError, match=message):
+            rounded_reference_bits(layout, sevenbus)
+        with pytest.raises(ValueError, match=message):
+            quantization_epsilon(qubo, layout, sevenbus)
+
     def test_bit_width_guard(self, sevenbus):
         with pytest.raises(ValueError):
             build_loadflow_qubo(sevenbus, Configuration(CFG_GOOD), 0, 4, 4)
@@ -147,21 +161,21 @@ class TestFixedConfiguration:
 class TestCombined:
     def encode(self, network, layout, cfg, root, rng=None):
         """Tree encoding + consistent gated products + zero currents."""
-        bits = layout.tree.encode_tree(network, cfg, root)
+        bits = layout.encode_tree(network, cfg, root)
         rng = rng or np.random.default_rng(0)
         lf = layout.loadflow
-        for nid in lf.bits_real:
-            for bit in (*lf.bits_real[nid], *lf.bits_imag[nid]):
+        for nid in network.msr_ids:
+            for bit in (*lf.voltage[nid, "R"].bits, *lf.voltage[nid, "I"].bits):
                 bits[bit] = rng.integers(0, 2)
-        for eid, var_bits in lf.bits_current.items():
-            const, coefs = lf.enc_current[eid]
+        for eid, grid in lf.current.items():
+            const, coefs, var_bits = grid.const, grid.coefs, grid.bits
             if coefs and coefs[0]:
                 level = int(round(-const / coefs[0]))
                 for k, bit in enumerate(var_bits):
                     bits[bit] = (level >> k) & 1
         for (eid, nid, part), z_bits in layout.aux_bits.items():
             gate = bits[layout.tree.in_tree_bit(eid)]
-            source = lf.bits_real[nid] if part == "R" else lf.bits_imag[nid]
+            source = lf.voltage[nid, part].bits
             for u_bit, z_bit in zip(source, z_bits):
                 bits[z_bit] = gate * bits[u_bit]
         return bits
@@ -224,7 +238,8 @@ class TestCombined:
         assert decoded.feasible and 3 not in decoded.configuration.edges
 
         spare_bits = set(layout.tree.edge_bits[3])
-        spare_bits |= set(layout.loadflow.bits_current.get(3, ()))
+        if 3 in layout.loadflow.current:
+            spare_bits |= set(layout.loadflow.current[3].bits)
         for (eid, _, _), z_bits in layout.aux_bits.items():
             if eid == 3:
                 spare_bits |= set(z_bits)
@@ -258,7 +273,7 @@ class TestSeparationShape:
 
     def test_bad_configuration_forces_zero_current_grid(self, sevenbus):
         qubo, layout = build_loadflow_qubo(sevenbus, Configuration(CFG_BAD), 6, 6, 6)
-        const, coefs = layout.enc_current[5]
+        const, coefs = layout.loadflow.current[5].const, layout.loadflow.current[5].coefs
         assert const == 0.0 and all(c == 0.0 for c in coefs)
 
     @staticmethod

@@ -215,7 +215,7 @@ class TestEncodeAndDiagnose:
         bits = layout.encode_tree(net, net.initial_configuration(), root=0)
         # deepen node 2 from depth 2 to an unsupported depth without touching edges
         bits = bits.copy()
-        node_bits = layout.node_bits[2]
+        node_bits = layout.tree.node_bits[2]
         assert [bits[b] for b in node_bits] == [0, 0]  # depth 2 = wall at the frame
         bits[node_bits[0]] = 1  # non-monotone: 1,0
         decoded = decode_solution(bits, layout)
@@ -223,7 +223,7 @@ class TestEncodeAndDiagnose:
         assert "domain_wall" in decoded.violated_groups
 
         bits2 = layout.encode_tree(net, net.initial_configuration(), root=0)
-        bits2[layout.node_bits[2][1]] = 1  # clean wall move: depth 2 -> 1
+        bits2[layout.tree.node_bits[2][1]] = 1  # clean wall move: depth 2 -> 1
         decoded2 = decode_solution(bits2, layout)
         assert not decoded2.feasible
         assert "domain_wall" not in decoded2.violated_groups
