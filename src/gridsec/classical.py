@@ -3,10 +3,11 @@ fundamental-cycle table, validate them with the load-flow oracle's
 verdict (:meth:`ComplianceOracle.passes`, which re-solves only the feeder
 branches a switchover touches), and assemble a per-edge security verdict.
 
-Step 1 covers every active edge that a single switchover can fix.  Step 2
-streams, per leftover edge and growing k, the trees deactivating it up to
-the first pass, which witnesses every edge it deactivates, so one load-flow
-call can clear several edges.  Both map each witnessed edge to its switchover.
+Step 1 streams every single switchover once.  Step 2 streams, per leftover
+edge and growing k, the trees deactivating it up to the first pass, which
+witnesses every edge it deactivates, so one load-flow call can clear
+several edges.  The streams yield bare edge sets for the oracle's
+:meth:`~ComplianceOracle.query`; only a witness becomes a :class:`Switchover`.
 Every candidate reached counts as one oracle call, the classical baseline's
 query; one that cannot change a verdict (step 1: its edge already witnessed;
 step 2: a repeated tree) is not solved, so the solves can be fewer.
@@ -80,14 +81,16 @@ def enumerate_reconfigurations(
         outside = sorted(restrict_to - cfg.edges)
         raise ValueError(f"cannot restrict to edges {outside}: not in the configuration")
 
-    return tuple(_reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to))
+    stream = _reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to)
+    return tuple((Switchover(a, d), Configuration(kept - d)) for a, d, kept in stream)
 
 
 def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: frozenset[int]):
     """Lazily, in :func:`enumerate_reconfigurations`' order and unchecked, its
-    entries deactivating an edge of ``restrict_to``.  Combinations whose rows
-    all miss it are skipped, and a choice whose first k - 1 edges miss it
-    draws its last edge from ``restrict_to`` only."""
+    entries deactivating an edge of ``restrict_to``, as bare ``(activations,
+    deactivations, kept)``: the tree is ``kept - deactivations``.  Combinations
+    whose rows all miss ``restrict_to`` are skipped, and a choice whose first
+    k - 1 edges miss it draws its last edge from ``restrict_to`` only."""
     for combo in itertools.combinations(sorted(cycles), k):
         *heads, last = rows = [cycles[x] for x in combo]
         if all(map(restrict_to.isdisjoint, rows)):
@@ -105,7 +108,7 @@ def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: fro
                 if deactivations in seen:
                     continue
                 seen.add(deactivations)
-                yield Switchover(activations, deactivations), Configuration(kept - deactivations)
+                yield activations, deactivations, kept
 
 
 def _exchange_is_tree(rows: list[frozenset[int]], choice: tuple[int, ...]) -> bool:
@@ -134,21 +137,23 @@ def step1_single_switch(
 ) -> dict[int, Switchover]:
     """First passing single-switchover witness per active edge.
 
-    Every enumerated candidate counts as one oracle call (the classical
-    baseline for query comparisons); per failing edge the first passing
-    candidate in canonical order wins; that edge's later ones go unsolved.
+    Each single switchover, streamed in canonical order, is one oracle call
+    (the classical baseline for query comparisons); per failing edge the
+    first passing candidate wins and that edge's later ones go unsolved.
     """
     oracle = oracle or ComplianceOracle(network)
-    base = network.initial_configuration()
     witnesses: dict[int, Switchover] = {}
     if not network.inactive_ids:
         return witnesses
-    for switch, candidate in enumerate_reconfigurations(network, base, 1):
-        (failing_edge,) = switch.deactivate
+    base = network.initial_configuration()
+    stream = _reconfigurations(fundamental_cycles(network, base), base, 1, base.edges)
+    for activations, deactivations, kept in stream:
+        oracle.calls += 1  # the baseline queries every candidate
+        (failing_edge,) = deactivations
         if failing_edge in witnesses:
-            oracle.calls += 1  # the baseline still queries it
-        elif oracle.passes(candidate):
-            witnesses[failing_edge] = switch
+            continue
+        if oracle.query(kept - deactivations, activations | deactivations):
+            witnesses[failing_edge] = Switchover(activations, deactivations)
     return witnesses
 
 
@@ -160,7 +165,7 @@ def step2_multi_switch(
 ) -> dict[int, Switchover]:
     """Multi-switchover sweep over the edges step 1 could not clear.
 
-    Each failing edge, in id order and unless witnessed, queries the trees
+    Each failing edge, in id order and unless witnessed, streams the trees
     deactivating it in canonical order until one passes, witnessing all its
     deactivations; a repeated tree counts as a query but is not re-solved.
     """
@@ -174,19 +179,21 @@ def step2_multi_switch(
         return witnesses
     base = network.initial_configuration()
     cycles = fundamental_cycles(network, base)
-    failed: set[Switchover] = set()  # a passing tree ends every scan it could recur in
+    failed = set()  # switchover pairs; a passing tree ends every scan it could recur in
     for failing_edge in sorted(remaining):
         if failing_edge in witnesses:
             continue
-        for switch, candidate in _reconfigurations(cycles, base, k, frozenset({failing_edge})):
-            if switch in failed:
-                oracle.calls += 1  # a repeated query is still a query
-            elif oracle.passes(candidate):
-                for covered in sorted(switch.deactivate):
+        for activations, deactivations, kept in _reconfigurations(cycles, base, k, frozenset({failing_edge})):
+            oracle.calls += 1  # a repeated query is still a query
+            pair = activations, deactivations
+            if pair in failed:
+                continue
+            if oracle.query(kept - deactivations, activations | deactivations):
+                switch = Switchover(*pair)
+                for covered in sorted(deactivations):
                     witnesses.setdefault(covered, switch)
                 break
-            else:
-                failed.add(switch)
+            failed.add(pair)
     return witnesses
 
 

@@ -9,17 +9,18 @@ Every configuration is a spanning tree, so the balance matrix is a tree
 Laplacian plus diagonal load admittances.  It is solved exactly in O(n) by
 the backward/forward sweep of radial load flow (Shirmohammadi et al., IEEE
 TPWRS 1988): MSR nodes are eliminated leaf first toward the fixed OS nodes,
-then one forward pass substitutes back.  One backward elimination and one
-bounds rule serve every caller.  :func:`solve_tree` adds the nodal-balance
-residual and a voltage dict by node id, and :func:`check_compliance` builds
-the full report from them.
+then one forward pass substitutes back.  One walk (one branch, a subtree
+under one child of the root, at a time), one backward elimination and one
+bounds rule serve every caller; a node's floats depend on its subtree only.
+:func:`solve_tree` adds the nodal-balance residual and a voltage dict by
+node id, and :func:`check_compliance` builds the full report from them.
 
 :class:`ComplianceOracle` answers the verdict alone.  A switchover leaves
-every branch of the base tree (a subtree under one child of the root) that
-holds no endpoint of a switched cable with its base flows, as in the
-branch-exchange analyses of Civanlar et al. (IEEE TPWRD 1988) and Baran &
-Wu (IEEE TPWRD 1989), so the oracle keeps those branches' base verdicts,
-re-solves the touched branches only and stops at the first violation.
+every branch of the base tree that holds no endpoint of a switched cable
+with its base flows, as in the branch-exchange analyses of Civanlar et al.
+(IEEE TPWRD 1988) and Baran & Wu (IEEE TPWRD 1989), so the oracle keeps
+those branches' base verdicts, walks the touched ones and solves the new
+branches among them largest first, up to the first violation.
 
 The dense system of :func:`assemble_system` and :func:`solve_loadflow`
 (LU with a condition-number guard) stays as the reference the tree solve
@@ -238,71 +239,83 @@ def _require_known(adm: Admittances, edge_ids: frozenset[int]) -> None:
 
 
 def _tree(adm: Admittances, active: frozenset[int], nodes: frozenset[int] | None = None):
-    """BFS from the root: the order, and each reached node's parent, parent
-    cable id, admittance and its magnitude; the root is its own parent and
-    siblings come in edge-id order.  Edge ids must be known.  With
-    ``nodes``, non-root positions that no cable of ``active`` joins to other
-    non-root positions, only the root and ``nodes`` are visited and
-    tree-checked."""
+    """Walk from the root one branch at a time, in the root's incident order
+    and breadth first inside each, so siblings come in edge-id order: the
+    reached non-root nodes in order, each one's parent (the root is its own)
+    and parent link (the parent's ``incident`` entry for it), and where each
+    branch starts in the order, then ``len(order)``.  Edge ids must be
+    known.  With ``nodes``, non-root positions that no cable of ``active``
+    joins to other non-root positions, only the root and ``nodes`` are
+    visited and tree-checked."""
     incident = adm.incident
     size = len(incident)
     if len(active) != size - 1:
         raise NotSpanningTreeError("configuration is not a spanning tree")
     if nodes is None:
         up_of = [-1] * size
-        reached = size
+        reached = size - 1
     else:  # a node left out counts as visited
         up_of = [size] * size
         for v in nodes:
             up_of[v] = -1
-        reached = len(nodes) + 1
-    up_edge = [-1] * size
-    y_up = [0j] * size
-    y_up_abs = [0.0] * size
-    up_of[adm.root] = adm.root
-    order = [adm.root]
-    for here in order:
-        for eid, there, y, y_abs in incident[here]:
-            if up_of[there] < 0 and eid in active:
-                up_of[there], up_edge[there], y_up[there], y_up_abs[there] = here, eid, y, y_abs
-                order.append(there)
+        reached = len(nodes)
+    link = [None] * size
+    root = up_of[adm.root] = adm.root
+    order, starts = [], []
+    for head_link in incident[root]:
+        head = head_link[1]
+        if up_of[head] >= 0 or head_link[0] not in active:
+            continue
+        up_of[head], link[head] = root, head_link
+        branch = [head]
+        for here in branch:
+            for entry in incident[here]:
+                there = entry[1]
+                if up_of[there] < 0 and entry[0] in active:
+                    up_of[there], link[there] = here, entry
+                    branch.append(there)
+        starts.append(len(order))
+        order += branch
     if len(order) != reached:
         raise NotSpanningTreeError("configuration is not a spanning tree")
-    return order, up_of, up_edge, y_up, y_up_abs
+    starts.append(len(order))
+    return order, up_of, link, starts
 
 
-def _sweep(adm: Admittances, order: list[int], up_of: list[int], y_up: list, y_up_abs: list):
-    """Backward elimination over :func:`_tree`'s order, leaf first: after it
-    ``U_v = offset[v] + gain[v] * U_parent`` for every MSR node v, which the
-    forward substitution of each caller evaluates root first."""
+def _sweep(adm: Admittances, order: list[int], up_of: list[int], link: list, state=None):
+    """Backward elimination over :func:`_tree`'s order, or any part of it
+    closed under children, leaf first: after it ``U_v = offset[v] + gain[v]
+    * U_parent`` for every MSR node v, which the forward substitution of
+    each caller evaluates root first; only a subtree holding an OS node has
+    a nonzero offset.  Pass an earlier call's ``state`` to reuse its buffers."""
     loads, fixed = adm.loads, adm.fixed
-    size = len(fixed)
-    rest = list(loads)
-    offset = [0j] * size
-    gain = [0j] * size
-    row_scale = list(adm.load_scale)
+    if state is None:
+        state = list(loads), list(adm.load_scale), [0j] * len(loads), [0j] * len(loads)
+    rest, row_scale, offset, gain = state
     for v in reversed(order):
-        up, y = up_of[v], y_up[v]
+        up, (_, _, y, y_abs) = up_of[v], link[v]
         parent_free = fixed[up] is None
         if fixed[v] is not None:
             if parent_free:
                 rest[up] += y
                 offset[up] += y * fixed[v]
-                row_scale[up] += y_up_abs[v]
+                row_scale[up] += y_abs
             continue
         d = rest[v] + y
-        if not abs(d) > PIVOT_LIMIT * (row_scale[v] + y_up_abs[v]):
+        if not abs(d) > PIVOT_LIMIT * (row_scale[v] + y_abs):
             raise SingularSystemError(
                 f"pivot {abs(d):.3e} at node {adm.node_ids[v]} is within "
                 f"{PIVOT_LIMIT:.0e} of its row scale"
             )
         gain[v] = t = y / d
-        offset[v] /= d
         if parent_free:
             rest[up] += rest[v] * t
-            offset[up] += y * offset[v]
-            row_scale[up] += y_up_abs[v]
-    return offset, gain
+            row_scale[up] += y_abs
+        if offset[v]:
+            offset[v] /= d
+            if parent_free:
+                offset[up] += y * offset[v]
+    return state
 
 
 def _compliance(adm: Admittances, cfg: Configuration, u: list, tol: float) -> ComplianceReport:
@@ -339,12 +352,13 @@ def solve_tree(
 ) -> VoltageSolution:
     """Exact load flow of a spanning-tree configuration in O(n).
 
-    A BFS from the first OS node gives parent pointers.  In reverse BFS
-    order every MSR node v, with pivot d_v and right-hand side r_v, is
-    eliminated into its parent p over their cable admittance y:
+    A walk from the first OS node, breadth first inside each branch, gives
+    parent pointers.  In reverse walk order every MSR node v, with pivot
+    d_v and right-hand side r_v, is eliminated into its parent p over their
+    cable admittance y:
     ``d_p -= y^2 / d_v`` and ``r_p += y r_v / d_v``.  An OS parent is not
     eliminated into; an OS node feeds ``y U`` into its MSR parent's
-    right-hand side.  One forward pass in BFS order then sets
+    right-hand side.  One forward pass in walk order then sets
     ``U_v = (r_v + y U_p) / d_v``.  The pivot is kept as ``d_v = rest_v + y``,
     so the parent's update ``y^2 / d_v - y = -y rest_v / d_v`` never cancels,
     even across a near-zero impedance.
@@ -357,8 +371,8 @@ def solve_tree(
     """
     adm = admittances or Admittances.of(network)
     _require_known(adm, cfg.edges)
-    order, up_of, _, y_up, y_up_abs = _tree(adm, cfg.edges)
-    offset, gain = _sweep(adm, order, up_of, y_up, y_up_abs)
+    order, up_of, link, _ = _tree(adm, cfg.edges)
+    *_, offset, gain = _sweep(adm, order, up_of, link)
     loads, fixed = adm.loads, adm.fixed
     u = list(fixed)
     balance = [0j] * len(fixed)
@@ -367,7 +381,7 @@ def solve_tree(
         if fixed[v] is None:
             u[v] = offset[v] + gain[v] * u[up]
             balance[v] += loads[v] * u[v]
-        current = y_up[v] * (u[v] - u[up])
+        current = link[v][2] * (u[v] - u[up])
         balance[v] += current
         balance[up] -= current
     residual = max((abs(r) for r, f in zip(balance, fixed) if f is None), default=0.0)
@@ -414,42 +428,37 @@ def problem_edges(network: Network) -> frozenset[int]:
 class ComplianceOracle:
     """Compliance verdicts with call accounting.
 
-    Counts one call per configuration queried; the count is the classical
-    query unit compared against the amplitude-amplification search.  A
-    caller that skips a query which cannot change a verdict still adds it
-    to ``calls``, so the count is the baseline's and the solves can be fewer.  A
-    configuration that is not a spanning tree, or whose system is singular,
-    is non-compliant; an unknown edge id raises ``ValueError``, and so does
-    a ``tol`` that is not finite and non-negative.
+    ``calls`` counts the configurations queried, the classical query unit
+    compared against the amplitude-amplification search; a caller that skips
+    a query which cannot change a verdict still adds it, and ``solves``
+    counts the queries answered.  A configuration that is not a spanning
+    tree, or whose system is singular, is non-compliant; an unknown edge id
+    raises ``ValueError``, and so does a ``tol`` that is not finite and
+    non-negative.
 
-    A branch is the base tree's subtree under one child of the root.  The
-    sweep solves it from its own cables and the fixed root voltage alone, so
-    a branch with no endpoint of a switched cable keeps the verdict solved
-    here once (False on a pivot failure).  Bounds are checked as the forward
-    substitution reaches each node, so an overloaded head cable ends a query.
+    A branch is a tree's subtree under one child of the root, solved from its
+    own cables and the fixed root voltage alone, so a base branch with no
+    endpoint of a switched cable keeps the verdict solved here once (False
+    on a pivot failure).  The new branches among the touched ones are
+    eliminated and checked one at a time, largest first, so an overloaded
+    head cable of the branch that took on load ends a query early.
     """
 
     def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
         self.network = network
         self.tol = _validated(tol)
         self.calls = 0
+        self.solves = 0
         self.admittances = adm = Admittances.of(network)
         self._limits = _limits(adm, self.tol)
-        base = network.initial_configuration()
-        self._base = base.edges
+        self._base = base = network.initial_configuration().edges
 
-        # branch of every node position, -1 for the root
-        order, up_of = _tree(adm, base.edges)[:2]
-        self._branch_of = branch_of = [-1] * len(order)
-        members: list[list[int]] = []
-        for v in order[1:]:
-            if up_of[v] == adm.root:
-                branch_of[v] = len(members)
-                members.append([])
-            else:
-                branch_of[v] = branch_of[up_of[v]]
-            members[branch_of[v]].append(v)
-        self._members = tuple(map(frozenset, members))
+        order, *_, starts = _tree(adm, base)
+        self._members = tuple(frozenset(order[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+        self._branch_of = branch_of = [-1] * len(adm.node_ids)  # -1 for the root
+        for b, nodes in enumerate(self._members):
+            for v in nodes:
+                branch_of[v] = b
         self._failing = frozenset(
             b for b, nodes in enumerate(self._members) if not self._verdict(base, nodes)
         )
@@ -457,37 +466,49 @@ class ComplianceOracle:
     def passes(self, cfg: Configuration) -> bool:
         """Whether ``cfg`` is compliant, re-solving only the branches it touches."""
         self.calls += 1
-        edges = self.admittances.edges
         switched = cfg.edges ^ self._base
         _require_known(self.admittances, switched)
-        branch_of = self._branch_of
+        return self.query(cfg.edges, switched)
+
+    def query(self, active: frozenset[int], switched: frozenset[int]) -> bool:
+        """:meth:`passes` for the tree ``active`` with the known ``switched``
+        cables against the base tree; counts a solve, the caller the call."""
+        self.solves += 1
+        edges, branch_of = self.admittances.edges, self._branch_of
         touched = {branch_of[v] for eid in switched for v in edges[eid][:2]}
         touched.discard(-1)
         if not self._failing <= touched:
             return False
-        return self._verdict(cfg, frozenset().union(*map(self._members.__getitem__, touched)))
+        return self._verdict(active, frozenset().union(*map(self._members.__getitem__, touched)))
 
-    def _verdict(self, cfg: Configuration, nodes: frozenset[int]) -> bool:
-        """Bounds on ``nodes`` and their parent cables under ``cfg``, each node
-        checked as soon as the forward substitution reaches it."""
+    def _verdict(self, active: frozenset[int], nodes: frozenset[int]) -> bool:
+        """Bounds on ``nodes`` and their parent cables under ``active``, new
+        branch by new branch, largest first, as forward substitution goes."""
         adm = self.admittances
         try:
-            order, up_of, up_edge, y_up, y_up_abs = _tree(adm, cfg.edges, nodes)
-            offset, gain = _sweep(adm, order, up_of, y_up, y_up_abs)
-        except (NotSpanningTreeError, SingularSystemError):
+            order, up_of, link, starts = _tree(adm, active, nodes)
+        except NotSpanningTreeError:
             return False
         volts, amps = self._limits
         edges, fixed = adm.edges, adm.fixed
         u = list(fixed)
-        for v in order[1:]:  # the root sits at u_nom = u_min = u_max, inside its band
-            if fixed[v] is None:
-                u[v] = offset[v] + gain[v] * u[up_of[v]]
-            low, high = volts[v]
-            mag = abs(u[v])
-            if mag < low or mag > high:
+        state = None
+        for lo, hi in sorted(zip(starts, starts[1:]), key=lambda b: b[0] - b[1]):
+            branch = order[lo:hi]
+            try:
+                state = _sweep(adm, branch, up_of, link, state)
+            except SingularSystemError:
                 return False
-            eid = up_edge[v]
-            i, j, _, _, z, _ = edges[eid]
-            if abs((u[j] - u[i]) / z) > amps[eid]:
-                return False
+            offset, gain = state[2:]
+            for v in branch:  # the root, at u_nom = u_min = u_max, is never in a branch
+                if fixed[v] is None:
+                    u[v] = offset[v] + gain[v] * u[up_of[v]]
+                low, high = volts[v]
+                mag = abs(u[v])
+                if mag < low or mag > high:
+                    return False
+                eid = link[v][0]
+                i, j, _, _, z, _ = edges[eid]
+                if abs((u[j] - u[i]) / z) > amps[eid]:
+                    return False
         return True

@@ -226,6 +226,8 @@ class QuboLayout:
     def encode_tree(self, network: Network, cfg: Configuration, root: int) -> np.ndarray:
         """Canonical zero-penalty encoding of a spanning tree rooted at ``root``."""
         tree = self.tree
+        if tree is None:
+            raise ValueError("layout has no tree part")
         depth = tree_walk(network, cfg, root)[0]
         if len(depth) != len(network.nodes):
             raise ValueError("configuration does not span all nodes")

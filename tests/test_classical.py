@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,10 +26,13 @@ from gridsec.network import (
     apply_switchover,
     fundamental_cycles,
     is_spanning_tree,
+    parse_network,
 )
 
 from conftest import compliant, make_network, spanning_trees
 from test_loadflow import branchy_grids
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def reference_enumeration(network, cfg, k, restrict_to=None):
@@ -225,7 +230,10 @@ class TestEnumeration:
         for k in range(1, min(3, len(cycles)) + 1):
             full = list(enumerate_reconfigurations(net, cfg, k))
             for f in sorted(cfg.edges):
-                streamed = list(_reconfigurations(cycles, cfg, k, frozenset({f})))
+                streamed = [
+                    (Switchover(a, d), Configuration(kept - d))
+                    for a, d, kept in _reconfigurations(cycles, cfg, k, frozenset({f}))
+                ]
                 assert streamed == [entry for entry in full if f in entry[0].deactivate]
 
     @pytest.mark.parametrize("edge", [5, 99])
@@ -278,20 +286,21 @@ class TestStepOneReference:
 
     @staticmethod
     def solving(run, net):
-        """``run(net, oracle)``'s witnesses and call count, and the failing edge
-        and verdict of every solve, in order."""
+        """``run(net, oracle)``'s witnesses, call and solve counts, and the
+        failing edge and verdict of every solve, in order."""
         oracle = ComplianceOracle(net)
         base = net.initial_configuration().edges
         solves = []
-        verdict = ComplianceOracle._verdict
+        query = ComplianceOracle.query
 
-        def counting(self, cfg, nodes):
-            (failing_edge,) = base - cfg.edges
-            solves.append((failing_edge, verdict(self, cfg, nodes)))
+        def counting(self, active, switched):
+            (failing_edge,) = base - active
+            solves.append((failing_edge, query(self, active, switched)))
             return solves[-1][1]
 
-        with mock.patch.object(ComplianceOracle, "_verdict", counting):
+        with mock.patch.object(ComplianceOracle, "query", counting):
             witnesses = run(net, oracle)
+        assert oracle.solves == len(solves)
         return witnesses, oracle.calls, solves
 
     def assert_same_as_reference(self, net):
@@ -299,7 +308,7 @@ class TestStepOneReference:
         got, calls, solves = self.solving(step1_single_switch, net)
         want, want_calls, want_solves = self.solving(reference_step1, net)
         assert got == want
-        assert calls == want_calls
+        assert calls == want_calls == len(want_solves)
         witnessed, expected = set(), []
         for failing_edge, passed in want_solves:
             if failing_edge not in witnessed:
@@ -319,6 +328,14 @@ class TestStepOneReference:
         # (calls, solves): the reference solves every call on these grids
         counts = {"demo_double_switch": (13, 7), "feeder_ring": (30, 18), "sevenbus": (7, 5)}
         assert self.assert_same_as_reference(PINNED_NETWORKS[name]()) == counts[name]
+
+    def test_benchmark_feeder_grid(self):
+        # feeder-k1's default-seed grid: 4 radial feeders of 25 nodes
+        spec = importlib.util.spec_from_file_location("feeders", BENCHMARKS / "feeders.py")
+        feeders = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(feeders)
+        net = parse_network(feeders.feeder_grid_json(4, 25, 1))
+        assert self.assert_same_as_reference(net) == (228, 194)
 
 
 class TestStepTwo:

@@ -5,8 +5,8 @@ reconfiguration of the three bundled networks and of a 4 x 25 feeder grid
 built below, the sha256 of every ``check_compliance`` report (a
 configuration that is not a tree, or is singular, hashed as an empty
 non-compliant report) and of every ``solve_tree`` solution, plus the
-``check_n1`` report of each network.  The oracle's verdict on every
-candidate must equal its report's.  Every number is hashed as its IEEE double, in
+``check_n1`` report of each network (the feeder grid at k = 1 and k = 2).
+The oracle's verdict on every candidate must equal its report's.  Every number is hashed as its IEEE double, in
 dict order, so any change to a voltage, a current, a violation tuple or the
 residual shows up here, down to the last bit.  To re-capture after a deliberate change,
 run this file as a script with the sources on ``PYTHONPATH``; it prints the
@@ -122,11 +122,17 @@ def current_digests() -> dict[str, dict]:
                 "solutions": solutions.hexdigest(),
             }
         n1 = check_n1(net, 1 if name == "feeder_4x25" else 2)
-        digests[f"{name}/check_n1"] = {
-            "loadflow_calls": n1.loadflow_calls,
-            "report": hashlib.sha256(n1.to_json().encode()).hexdigest(),
-        }
+        digests[f"{name}/check_n1"] = n1_digest(n1)
+    # k = 2 on the feeder grid exhausts every step-2 stream (63 INSECURE edges)
+    digests["feeder_4x25/check_n1_k2"] = n1_digest(check_n1(feeder_4x25(), 2))
     return digests
+
+
+def n1_digest(report) -> dict:
+    return {
+        "loadflow_calls": report.loadflow_calls,
+        "report": hashlib.sha256(report.to_json().encode()).hexdigest(),
+    }
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsec import loadflow
 from gridsec.classical import check_n1, enumerate_reconfigurations
 from gridsec.loadflow import (
     Admittances,
@@ -655,3 +657,65 @@ class TestOracleVerdict:
         assert report.voltage_violations == ()
         assert [eid for eid, *_ in report.current_violations] == ([] if passes else [4])
         assert oracle.passes(moved) is passes
+
+
+class TestOracleEarlyExit:
+    """The oracle solves the new branches of a query largest first and stops
+    at the first violation; each verdict equals the full report's.
+
+    Branch A is 0-1-2 and branch B 0-3-4-5-6-7; tie 8 joins 2 and 7.
+    Closing it and opening cable 7 moves node 7 into A, so the new A holds
+    three nodes and the new B four.  A walks first (its head cable has the
+    lower id), so only a largest-first solve sweeps B first.  A node draws
+    about 19 A."""
+
+    PAIRS = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 7)]
+    MOVED = Configuration.of([1, 2, 3, 4, 5, 6, 8])
+
+    def grid(self, i_max, os_node=None):
+        net = make_network(8, self.PAIRS, set(range(1, 8)), i_max=i_max)
+        if os_node is None:
+            return net
+        nodes = [Node(n.id, "OS", 10499.0, 0j, 10499.0, 10499.0) if n.id == os_node else n for n in net.nodes]
+        return Network(nodes, net.edges)
+
+    @staticmethod
+    def swept(oracle, cfg):
+        """``oracle.passes(cfg)`` and each sweep's offsets by node id, in order."""
+        sweeps, sweep = [], loadflow._sweep
+
+        def recording(adm, order, *args):
+            state = sweep(adm, order, *args)
+            sweeps.append({adm.node_ids[v]: state[2][v] for v in order})
+            return state
+
+        with mock.patch.object(loadflow, "_sweep", recording):
+            return oracle.passes(cfg), sweeps
+
+    @pytest.mark.parametrize("i_max, violating, branches", [
+        ({1: 50.0}, [1], [{3, 4, 5, 6}, {1, 2, 7}]),  # only the smaller new branch violates
+        ({1: 50.0, 3: 70.0}, [1, 3], [{3, 4, 5, 6}]),  # both do; the larger ends the query
+    ])
+    def test_first_violation_ends_the_query(self, i_max, violating, branches):
+        net = self.grid(i_max)
+        report = full_report(net, self.MOVED)
+        assert report.voltage_violations == ()
+        assert [eid for eid, *_ in report.current_violations] == violating
+        passes, sweeps = self.swept(ComplianceOracle(net), self.MOVED)
+        assert passes is False
+        assert [set(offsets) for offsets in sweeps] == branches
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_second_os_node_in_a_touched_branch(self, factor):
+        """OS node 5 feeds B's upper part, so nodes 3 and 4 carry nonzero
+        offsets; B's head cable is rated within 0.1% of its current."""
+        current = abs(full_report(self.grid({}, os_node=5), self.MOVED).currents[3])
+        net = self.grid({3: current * factor}, os_node=5)
+        oracle = ComplianceOracle(net)
+        base = net.initial_configuration()
+        for _, cfg in enumerate_reconfigurations(net, base, 1):
+            assert oracle.passes(cfg) == full_report(net, cfg).compliant
+        passes, sweeps = self.swept(oracle, self.MOVED)
+        assert passes is (factor > 1) is full_report(net, self.MOVED).compliant
+        offsets = sweeps[0]
+        assert set(offsets) == {3, 4, 5, 6} and offsets[3] and offsets[4] and not offsets[6]

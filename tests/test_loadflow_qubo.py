@@ -153,6 +153,12 @@ class TestFixedConfiguration:
         with pytest.raises(ValueError, match=message):
             quantization_epsilon(qubo, layout, sevenbus)
 
+    def test_encode_tree_needs_tree_part(self, sevenbus):
+        cfg = sevenbus.initial_configuration()
+        _, layout = build_loadflow_qubo(sevenbus, cfg)
+        with pytest.raises(ValueError, match="^layout has no tree part$"):
+            layout.encode_tree(sevenbus, cfg, root=7)
+
     def test_bit_width_guard(self, sevenbus):
         with pytest.raises(ValueError):
             build_loadflow_qubo(sevenbus, Configuration(CFG_GOOD), 0, 4, 4)
