@@ -1,7 +1,8 @@
 """Classical N-1 search: enumerate k-switchover spanning trees through the
 fundamental-cycle table, validate them with the load-flow oracle's
-verdict (:meth:`ComplianceOracle.passes`, which re-solves only the feeder
+verdict (:meth:`ComplianceOracle.query`, which re-solves only the feeder
 branches a switchover touches), and assemble a per-edge security verdict.
+The Grover search space indexes the same stream.
 
 Step 1 streams every single switchover once.  Step 2 streams, per leftover
 edge and growing k, the trees deactivating it up to the first pass, which
@@ -74,15 +75,20 @@ def enumerate_reconfigurations(
     Gaussian elimination decides.  Duplicates are caught per combination,
     since the activations fix the inactive part of the edge set.
     """
+    stream = _stream(network, cfg, k, restrict_to)
+    return tuple((Switchover(a, d), Configuration(kept - d)) for a, d, kept in stream)
+
+
+def _stream(network: Network, cfg: Configuration, k: int, restrict_to: frozenset[int] | None):
+    """:func:`enumerate_reconfigurations`' argument checks, made at once, then
+    its entries as the lazy :func:`_reconfigurations` stream."""
     cycles = fundamental_cycles(network, cfg)
     if not 1 <= k <= len(cycles):
         raise ValueError(f"k must be between 1 and {len(cycles)} inactive edges, got {k}")
     if restrict_to is not None and not restrict_to <= cfg.edges:
         outside = sorted(restrict_to - cfg.edges)
         raise ValueError(f"cannot restrict to edges {outside}: not in the configuration")
-
-    stream = _reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to)
-    return tuple((Switchover(a, d), Configuration(kept - d)) for a, d, kept in stream)
+    return _reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to)
 
 
 def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: frozenset[int]):

@@ -266,6 +266,8 @@ def cmd_grover(args) -> int:
     space = grover.index_reconfigurations(grid, args.failing_edge, args.k)
     print(f"seed: {seed}")
     _check_writable(args.distribution_out)
+    if args.iterations is not None and args.iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {args.iterations}")
     oracle = grover.make_oracle(grid, space)
 
     def no_compliant_switchover() -> int:

@@ -9,6 +9,11 @@ evolves the exact pair ``(a, b)`` for any N and samples from closed-form
 prefix sums.  A search steps the pair once, keeping at most ceil(sqrt N)
 pairs for its rounds, and a result builds its distribution when it is read.
 
+The candidates of one failing edge are the classical route's candidate
+stream restricted to it, in :func:`~gridsec.classical.enumerate_reconfigurations`'
+order, and the oracle marks them with the :meth:`ComplianceOracle.query` call
+that step 2 makes.
+
 Query accounting follows the grey-box convention: one amplification
 iteration costs one oracle query, and every classical verification of a
 sampled candidate costs one more.  The classical baseline pays one query
@@ -27,9 +32,9 @@ from itertools import islice
 
 import numpy as np
 
-from .classical import enumerate_reconfigurations
+from .classical import _stream
 from .loadflow import ComplianceOracle
-from .network import Configuration, Network, Switchover
+from .network import Network, Switchover
 
 __all__ = [
     "SearchSpaceError",
@@ -56,59 +61,42 @@ class SearchFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Dense id <-> switchover table for one failing edge.  A synthetic space
-    holds no table: each of its ``size`` ids maps to the empty switchover."""
+    """Candidate ids for one failing edge, each an ``(activations,
+    deactivations)`` pair of the candidate stream; :meth:`switchover` builds
+    the id's :class:`Switchover` when asked.  A synthetic space holds no
+    pairs: each of its ``size`` ids maps to the empty switchover."""
 
-    switchovers: tuple[Switchover, ...]
-    configurations: tuple[Configuration, ...]
-    failing_edge: int | None
-    k: int
+    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
     size: int
 
     def switchover(self, candidate_id: int) -> Switchover:
-        if self.switchovers:
-            return self.switchovers[candidate_id]
+        if self.pairs:
+            return Switchover(*self.pairs[candidate_id])
         range(self.size)[candidate_id]  # the table's IndexError
         return _NO_SWITCHOVER
-
-    def configuration(self, candidate_id: int) -> Configuration:
-        if self.configurations:
-            return self.configurations[candidate_id]
-        range(self.size)[candidate_id]
-        return _NO_CONFIGURATION
 
     @classmethod
     def synthetic(cls, size: int) -> SearchSpace:
         """Index-only space for query-complexity benchmarks."""
         if size < 1:
             raise SearchSpaceError("synthetic space needs size >= 1")
-        return cls((), (), failing_edge=None, k=0, size=size)
+        return cls((), size)
 
 
 _NO_SWITCHOVER = Switchover(frozenset(), frozenset())
-_NO_CONFIGURATION = Configuration(frozenset())
 
 
 def index_reconfigurations(network: Network, failing_edge: int, k: int) -> SearchSpace:
     """Candidates deactivating the failing edge, in canonical order."""
     if failing_edge not in network.active_ids:
         raise ValueError(f"failing edge {failing_edge} is not an active edge")
-    base = network.initial_configuration()
-    entries = enumerate_reconfigurations(
-        network, base, k, restrict_to=frozenset({failing_edge})
-    )
-    if not entries:
+    stream = _stream(network, network.initial_configuration(), k, frozenset({failing_edge}))
+    pairs = tuple((a, d) for a, d, _ in stream)
+    if not pairs:
         raise SearchSpaceError(
             f"no {k}-switchover reconfiguration deactivates edge {failing_edge}"
         )
-    switchovers, configurations = zip(*entries)
-    return SearchSpace(
-        switchovers=tuple(switchovers),
-        configurations=tuple(configurations),
-        failing_edge=failing_edge,
-        k=k,
-        size=len(switchovers),
-    )
+    return SearchSpace(pairs, len(pairs))
 
 
 class Oracle:
@@ -132,14 +120,16 @@ class Oracle:
         return self._marked
 
 
-def make_oracle(network: Network, space: SearchSpace, tol: float = 1e-9) -> Oracle:
-    """Oracle marking every candidate the classical load-flow checker passes;
-    a candidate that is not a spanning tree is non-compliant."""
+def make_oracle(network: Network, space: SearchSpace) -> Oracle:
+    """Oracle marking every candidate the classical route passes: id i asks
+    :meth:`ComplianceOracle.query` about its tree and switched cables, the
+    call step 2 makes.  A synthetic space marks nothing."""
     if space.size < 1:
         raise SearchSpaceError("cannot build an oracle over an empty space")
-    checker = ComplianceOracle(network, tol)
+    query = ComplianceOracle(network).query
+    base = network.initial_configuration().edges
     return Oracle.from_marked(
-        (i for i in range(space.size) if checker.passes(space.configuration(i))), space.size
+        (i for i, (a, d) in enumerate(space.pairs) if query(base - d | a, a | d)), space.size
     )
 
 

@@ -97,16 +97,6 @@ class Qubo:
             self._dense = mat
         return self._dense
 
-    def scaled(self, factor: float) -> Qubo:
-        return Qubo(self.n, {k: factor * q for k, q in self.coeffs.items()}, factor * self.offset)
-
-    def __add__(self, other: Qubo) -> Qubo:
-        n = max(self.n, other.n)
-        merged = dict(self.coeffs)
-        for key, q in other.coeffs.items():
-            merged[key] = merged.get(key, 0.0) + q
-        return Qubo(n, merged, self.offset + other.offset)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Qubo):
             return NotImplemented

@@ -31,7 +31,7 @@ from gridsec.grover import (
     success_probability,
 )
 from gridsec.loadflow import admittance
-from gridsec.network import Configuration
+from gridsec.network import Configuration, apply_switchover
 from gridsec.n1qubo import (
     build_loadflow_qubo,
     build_n1_qubo,
@@ -42,6 +42,7 @@ from gridsec.n1qubo import (
 )
 from gridsec.qubo import (
     PolyTerm,
+    QuboBuilder,
     VarAllocator,
     brute_force_minimize,
     default_reduction_weight,
@@ -354,7 +355,11 @@ def test_criterion_5_annealing_finds_the_reconfiguration(sevenbus):
 
     # smallest depth budget that still encodes every candidate reconfiguration
     space = index_reconfigurations(sevenbus, failing_edge=2, k=1)
-    heights = [rooted_height(sevenbus, cfg.edges, 7) for cfg in space.configurations]
+    base = sevenbus.initial_configuration()
+    heights = [
+        rooted_height(sevenbus, apply_switchover(base, space.switchover(i)).edges, 7)
+        for i in range(space.size)
+    ]
     k2 = enumerate_reconfigurations(
         sevenbus, sevenbus.initial_configuration(), 2, restrict_to=frozenset({2})
     )
@@ -599,9 +604,10 @@ def test_criterion_9_degree_reduction_preserves_minima():
         quadratic, aux_penalty, _ = reduce_polynomial(terms, alloc)
         assert all(t.degree <= 2 for t in quadratic)
         total_vars = alloc.count
-        reduced = polynomial_to_qubo(quadratic, total_vars) + aux_penalty.scaled(
-            default_reduction_weight(terms)
-        )
+        builder = QuboBuilder(total_vars)
+        builder.add_qubo(polynomial_to_qubo(quadratic, total_vars))
+        builder.add_qubo(aux_penalty, default_reduction_weight(terms))
+        reduced = builder.build()
 
         rows = all_bitstring_matrix(total_vars)
         energies = reduced.energies(rows)

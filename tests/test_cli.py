@@ -533,6 +533,15 @@ class TestGrover:
         assert (code, out) == (1, "seed: 3\n")
         assert err == f"error: cannot write {path}: {NO_SUCH_FILE}\n"
 
+    def test_negative_iterations_fail_before_the_oracle(self, capsys, monkeypatch):
+        forbid(monkeypatch, grover, "make_oracle")
+        code, out, err = run(
+            capsys, "grover", "--network", DEMO_K1, "--failing-edge", "2", "--seed", "3",
+            "--iterations", "-1",
+        )
+        assert (code, out) == (1, "seed: 3\n")
+        assert err == "error: iterations must be >= 0, got -1\n"
+
     def test_bad_seed_is_input_error(self, capsys, monkeypatch):
         argv = ["grover", "--network", DEMO_K1, "--failing-edge", "2"]
         monkeypatch.delenv("GRIDSEC_SEED", raising=False)

@@ -1,21 +1,31 @@
-"""The three routes answer the same question alike on small random grids.
+"""The three routes answer the same question alike on small grids.
 
-For every active failing edge, the classical k=1 verdict is SECURE_K1
-exactly when the Grover oracle marks some candidate, and every marked
-configuration is a zero-penalty state of the default tree QUBO whose
-energy is its switch count.
+For every active failing edge of a small random grid, the classical k=1
+verdict is SECURE_K1 exactly when the Grover oracle marks some candidate,
+and every marked configuration is a zero-penalty state of the default tree
+QUBO whose energy is its switch count.  At k=2, on the bundled networks and
+a benchmark ring, the classical verdict's k is the smallest k at which the
+Grover oracle marks a candidate.
 """
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridsec.classical import SECURE_K1, check_n1
+from gridsec.datasets import load_bundled
 from gridsec.grover import SearchSpaceError, index_reconfigurations, make_oracle
 from gridsec.n1qubo import STRUCTURAL_GROUPS, build_tree_qubo, decode_solution, default_levels
+from gridsec.network import apply_switchover, parse_network
 
 from conftest import make_network
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 @st.composite
@@ -52,7 +62,7 @@ def test_classical_grover_and_tree_qubo_agree(grid):
 
         qubo, layout = build_tree_qubo(grid, levels, failing_edge=edge)
         for candidate in marked:
-            cfg = space.configuration(int(candidate))
+            cfg = apply_switchover(grid.initial_configuration(), space.switchover(int(candidate)))
             bits = layout.encode_tree(grid, cfg, root=grid.os_ids[0])
             decoded = decode_solution(bits, layout)
             assert decoded.feasible and decoded.configuration == cfg
@@ -62,3 +72,35 @@ def test_classical_grover_and_tree_qubo_agree(grid):
                 if name in decoded.penalties
             )
             assert qubo.evaluate(bits) == len(cfg.edges ^ grid.active_ids)
+
+
+def ring_3x6():
+    """A 3 x 6 ring of the benchmark's feeder grids, seed 1."""
+    spec = importlib.util.spec_from_file_location("feeders", BENCHMARKS / "feeders.py")
+    feeders = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(feeders)
+    return parse_network(feeders.feeder_grid_json(3, 6, 1, ring=True))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [load_bundled("demo_double_switch"), load_bundled("demo_single_switch"),
+     load_bundled("sevenbus"), ring_3x6()],
+    ids=["demo_double_switch", "demo_single_switch", "sevenbus", "ring_3x6"],
+)
+def test_classical_k2_verdict_matches_grover_marks(grid):
+    report = check_n1(grid, k_max=2)
+    for edge in sorted(grid.active_ids):
+        first = None
+        for k in (1, 2):
+            try:
+                marked = make_oracle(grid, index_reconfigurations(grid, edge, k)).marked_ids()
+            except SearchSpaceError:
+                continue
+            except ValueError:
+                assert k > len(grid.inactive_ids)
+                continue
+            if marked.size:
+                first = k
+                break
+        assert report.per_edge[edge].k == first, edge

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsec import grover as grover_module
+from gridsec.classical import enumerate_reconfigurations
 from gridsec.cli import main
-from gridsec.datasets import bundled_path
+from gridsec.datasets import bundled_path, load_bundled
 from gridsec.grover import (
     _sample,
     Oracle,
@@ -30,10 +32,11 @@ from gridsec.grover import (
     success_probability,
 )
 from gridsec.loadflow import ComplianceOracle
-from gridsec.network import Configuration, Switchover, is_spanning_tree
+from gridsec.network import Switchover, apply_switchover, is_spanning_tree
 
 from conftest import compliant, grover_iterate, uniform_state
 
+BUNDLED_NETWORKS = ("demo_double_switch", "demo_single_switch", "sevenbus")
 GROVER_CLI_CASES = json.loads(
     (Path(__file__).parent / "data" / "grover_cli_seed11.json").read_text()
 )
@@ -43,9 +46,10 @@ class TestSearchSpace:
     def test_single_switch_demo(self, demo_k1):
         space = index_reconfigurations(demo_k1, failing_edge=2, k=1)
         assert space.size == 4
+        base = demo_k1.initial_configuration()
         for i in range(space.size):
             assert space.switchover(i).deactivate == frozenset({2})
-            assert is_spanning_tree(demo_k1, space.configuration(i))
+            assert is_spanning_tree(demo_k1, apply_switchover(base, space.switchover(i)))
         # canonical order puts the first spare cable at id 0
         assert space.switchover(0).activate == frozenset({6})
 
@@ -71,12 +75,36 @@ class TestSearchSpace:
         space = SearchSpace.synthetic(10)
         assert space.size == 10
         assert space.switchover(9) == Switchover(frozenset(), frozenset())
-        assert space.configuration(0) == Configuration(frozenset())
-        for lookup in (space.switchover, space.configuration):
-            with pytest.raises(IndexError):
-                lookup(10)
+        with pytest.raises(IndexError):
+            space.switchover(10)
         with pytest.raises(SearchSpaceError):
             SearchSpace.synthetic(0)
+
+
+@pytest.mark.parametrize("name", BUNDLED_NETWORKS)
+def test_ids_follow_the_restricted_enumeration(name):
+    """On every active edge of the bundled networks at k=1 and k=2, id i
+    is entry i of the enumeration restricted to that edge, and the oracle
+    marks exactly the ids whose applied switchover is compliant."""
+    grid = load_bundled(name)
+    base = grid.initial_configuration()
+    searched = 0
+    for k, edge in itertools.product((1, 2), sorted(grid.active_ids)):
+        entries = enumerate_reconfigurations(grid, base, k, restrict_to=frozenset({edge}))
+        if not entries:
+            with pytest.raises(SearchSpaceError):
+                index_reconfigurations(grid, edge, k)
+            continue
+        space = index_reconfigurations(grid, edge, k)
+        assert space.size == len(entries)
+        assert [space.switchover(i) for i in range(space.size)] == [s for s, _ in entries]
+        expected = [
+            i for i in range(space.size)
+            if compliant(grid, apply_switchover(base, space.switchover(i)))
+        ]
+        assert make_oracle(grid, space).marked_ids().tolist() == expected
+        searched += 1
+    assert searched >= len(grid.active_ids)
 
 
 class TestOracle:
@@ -85,24 +113,26 @@ class TestOracle:
         oracle = make_oracle(demo_k1, space)
         assert list(oracle.marked_ids()) == [0]
         # the marked candidate really is compliant, the others really are not
+        base = demo_k1.initial_configuration()
         for i in range(space.size):
-            assert compliant(demo_k1, space.configuration(i)) == (i == 0)
+            assert compliant(demo_k1, apply_switchover(base, space.switchover(i))) == (i == 0)
 
     def test_sevenbus_marks_match_tree_checked_predicate(self, sevenbus):
         """Marked sets at k=1 equal those of a predicate that checks the tree
         before the load flow, for every failing edge with candidates."""
         checker = ComplianceOracle(sevenbus)
+        base = sevenbus.initial_configuration()
         searched = {}
         for edge in sorted(sevenbus.active_ids):
             try:
                 space = index_reconfigurations(sevenbus, failing_edge=edge, k=1)
             except SearchSpaceError:
                 continue
+            configurations = [apply_switchover(base, space.switchover(i)) for i in range(space.size)]
             expected = [
                 i
-                for i in range(space.size)
-                if is_spanning_tree(sevenbus, space.configuration(i))
-                and checker.passes(space.configuration(i))
+                for i, cfg in enumerate(configurations)
+                if is_spanning_tree(sevenbus, cfg) and checker.passes(cfg)
             ]
             searched[edge] = list(make_oracle(sevenbus, space).marked_ids())
             assert searched[edge] == expected
@@ -113,10 +143,11 @@ class TestOracle:
         space = index_reconfigurations(demo_k2, failing_edge=4, k=2)
         oracle = make_oracle(demo_k2, space)
         marked = {int(i) for i in oracle.marked_ids()}
+        base = demo_k2.initial_configuration()
         expected = {
             i
             for i in range(space.size)
-            if compliant(demo_k2, space.configuration(i))
+            if compliant(demo_k2, apply_switchover(base, space.switchover(i)))
         }
         assert marked == expected
         assert len(marked) == 3

@@ -245,7 +245,10 @@ class TestDegreeReduction:
         assert all(t.degree <= 2 for t in quadratic)
         assert len(subs) == 1
         weight = default_reduction_weight([term])
-        reduced = polynomial_to_qubo(quadratic, alloc.count) + penalty.scaled(weight)
+        builder = QuboBuilder(alloc.count)
+        builder.add_qubo(polynomial_to_qubo(quadratic, alloc.count))
+        builder.add_qubo(penalty, weight)
+        reduced = builder.build()
         for bits in all_bitstrings(3):
             best = min(
                 reduced.evaluate(list(bits) + list(aux))
@@ -281,7 +284,10 @@ class TestDegreeReduction:
         quadratic, penalty, _ = reduce_polynomial(terms, alloc)
         assert all(t.degree <= 2 for t in quadratic)
         weight = default_reduction_weight(terms)
-        reduced = polynomial_to_qubo(quadratic, alloc.count) + penalty.scaled(weight)
+        builder = QuboBuilder(alloc.count)
+        builder.add_qubo(polynomial_to_qubo(quadratic, alloc.count))
+        builder.add_qubo(penalty, weight)
+        reduced = builder.build()
         n_aux = alloc.count - n
         for bits in all_bitstrings(n):
             original = sum(t.evaluate(bits) for t in terms)
