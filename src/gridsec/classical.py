@@ -7,8 +7,9 @@ The Grover search space indexes the same stream.
 Step 1 streams every single switchover once.  Step 2 streams, per leftover
 edge and growing k, the trees deactivating it up to the first pass, which
 witnesses every edge it deactivates, so one load-flow call can clear
-several edges.  The streams yield bare edge sets for the oracle's
-:meth:`~ComplianceOracle.query`; only a witness becomes a :class:`Switchover`.
+several edges.  The streams yield bare ``(activations, deactivations)``
+pairs, which the oracle's :meth:`~ComplianceOracle.query` takes as they
+come; only a witness becomes a :class:`Switchover`.
 Every candidate reached counts as one oracle call, the classical baseline's
 query; one that cannot change a verdict (step 1: its edge already witnessed;
 step 2: a repeated tree) is not solved, so the solves can be fewer.
@@ -76,7 +77,7 @@ def enumerate_reconfigurations(
     since the activations fix the inactive part of the edge set.
     """
     stream = _stream(network, cfg, k, restrict_to)
-    return tuple((Switchover(a, d), Configuration(kept - d)) for a, d, kept in stream)
+    return tuple((Switchover(a, d), Configuration(cfg.edges - d | a)) for a, d in stream)
 
 
 def _stream(network: Network, cfg: Configuration, k: int, restrict_to: frozenset[int] | None):
@@ -88,22 +89,21 @@ def _stream(network: Network, cfg: Configuration, k: int, restrict_to: frozenset
     if restrict_to is not None and not restrict_to <= cfg.edges:
         outside = sorted(restrict_to - cfg.edges)
         raise ValueError(f"cannot restrict to edges {outside}: not in the configuration")
-    return _reconfigurations(cycles, cfg, k, cfg.edges if restrict_to is None else restrict_to)
+    return _reconfigurations(cycles, k, cfg.edges if restrict_to is None else restrict_to)
 
 
-def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: frozenset[int]):
+def _reconfigurations(cycles: dict, k: int, restrict_to: frozenset[int]):
     """Lazily, in :func:`enumerate_reconfigurations`' order and unchecked, its
-    entries deactivating an edge of ``restrict_to``, as bare ``(activations,
-    deactivations, kept)``: the tree is ``kept - deactivations``.  Combinations
-    whose rows all miss ``restrict_to`` are skipped, and a choice whose first
-    k - 1 edges miss it draws its last edge from ``restrict_to`` only."""
+    switchovers deactivating an edge of ``restrict_to``, as bare
+    ``(activations, deactivations)`` pairs.  Combinations whose rows all miss
+    ``restrict_to`` are skipped, and a choice whose first k - 1 edges miss it
+    draws its last edge from ``restrict_to`` only."""
     for combo in itertools.combinations(sorted(cycles), k):
         *heads, last = rows = [cycles[x] for x in combo]
         if all(map(restrict_to.isdisjoint, rows)):
             continue
         lasts, hits = sorted(last), sorted(last & restrict_to)
         activations = frozenset(combo)
-        kept = cfg.edges | activations
         seen: set[frozenset[int]] = set()
         for head in itertools.product(*map(sorted, heads)):
             for d in hits if restrict_to.isdisjoint(head) else lasts:
@@ -114,7 +114,7 @@ def _reconfigurations(cycles: dict, cfg: Configuration, k: int, restrict_to: fro
                 if deactivations in seen:
                     continue
                 seen.add(deactivations)
-                yield activations, deactivations, kept
+                yield activations, deactivations
 
 
 def _exchange_is_tree(rows: list[frozenset[int]], choice: tuple[int, ...]) -> bool:
@@ -152,13 +152,12 @@ def step1_single_switch(
     if not network.inactive_ids:
         return witnesses
     base = network.initial_configuration()
-    stream = _reconfigurations(fundamental_cycles(network, base), base, 1, base.edges)
-    for activations, deactivations, kept in stream:
+    for activations, deactivations in _reconfigurations(fundamental_cycles(network, base), 1, base.edges):
         oracle.calls += 1  # the baseline queries every candidate
         (failing_edge,) = deactivations
         if failing_edge in witnesses:
             continue
-        if oracle.query(kept - deactivations, activations | deactivations):
+        if oracle.query(activations, deactivations):
             witnesses[failing_edge] = Switchover(activations, deactivations)
     return witnesses
 
@@ -189,14 +188,13 @@ def step2_multi_switch(
     for failing_edge in sorted(remaining):
         if failing_edge in witnesses:
             continue
-        for activations, deactivations, kept in _reconfigurations(cycles, base, k, frozenset({failing_edge})):
+        for pair in _reconfigurations(cycles, k, frozenset({failing_edge})):
             oracle.calls += 1  # a repeated query is still a query
-            pair = activations, deactivations
             if pair in failed:
                 continue
-            if oracle.query(kept - deactivations, activations | deactivations):
+            if oracle.query(*pair):
                 switch = Switchover(*pair)
-                for covered in sorted(deactivations):
+                for covered in sorted(switch.deactivate):
                     witnesses.setdefault(covered, switch)
                 break
             failed.add(pair)

@@ -400,13 +400,7 @@ def main(argv=None) -> int:
         return _fail(f"cannot read {exc.filename}: {exc.strerror}" if exc.filename else str(exc))
     except MemoryError as exc:
         return _fail(f"out of memory: {exc}")
-    except (
-        net.NetworkError,
-        grover.SearchSpaceError,
-        loadflow.SingularSystemError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (net.NetworkError, loadflow.SingularSystemError, ValueError) as exc:
         return _fail(str(exc))
 
 

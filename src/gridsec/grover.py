@@ -91,7 +91,7 @@ def index_reconfigurations(network: Network, failing_edge: int, k: int) -> Searc
     if failing_edge not in network.active_ids:
         raise ValueError(f"failing edge {failing_edge} is not an active edge")
     stream = _stream(network, network.initial_configuration(), k, frozenset({failing_edge}))
-    pairs = tuple((a, d) for a, d, _ in stream)
+    pairs = tuple(stream)
     if not pairs:
         raise SearchSpaceError(
             f"no {k}-switchover reconfiguration deactivates edge {failing_edge}"
@@ -122,15 +122,12 @@ class Oracle:
 
 def make_oracle(network: Network, space: SearchSpace) -> Oracle:
     """Oracle marking every candidate the classical route passes: id i asks
-    :meth:`ComplianceOracle.query` about its tree and switched cables, the
-    call step 2 makes.  A synthetic space marks nothing."""
+    :meth:`ComplianceOracle.query` about its pair, the call step 2 makes.
+    A synthetic space marks nothing."""
     if space.size < 1:
         raise SearchSpaceError("cannot build an oracle over an empty space")
     query = ComplianceOracle(network).query
-    base = network.initial_configuration().edges
-    return Oracle.from_marked(
-        (i for i, (a, d) in enumerate(space.pairs) if query(base - d | a, a | d)), space.size
-    )
+    return Oracle.from_marked((i for i, pair in enumerate(space.pairs) if query(*pair)), space.size)
 
 
 # ---------------------------------------------------------------------------

@@ -426,15 +426,18 @@ def problem_edges(network: Network) -> frozenset[int]:
 
 
 class ComplianceOracle:
-    """Compliance verdicts with call accounting.
+    """Compliance verdicts of switchovers from the base tree, with call
+    accounting.
 
-    ``calls`` counts the configurations queried, the classical query unit
-    compared against the amplitude-amplification search; a caller that skips
-    a query which cannot change a verdict still adds it, and ``solves``
-    counts the queries answered.  A configuration that is not a spanning
+    :meth:`query` answers one ``(activations, deactivations)`` pair and
+    derives its tree and switched cables itself; :meth:`passes` asks it
+    about a whole configuration.  ``calls`` counts the queries, the classical
+    query unit compared against the amplitude-amplification search; a caller
+    that skips a query which cannot change a verdict still adds it, and
+    ``solves`` counts the queries answered.  A result that is not a spanning
     tree, or whose system is singular, is non-compliant; an unknown edge id
-    raises ``ValueError``, and so does a ``tol`` that is not finite and
-    non-negative.
+    in :meth:`passes` raises ``ValueError``, and so does a ``tol`` that is
+    not finite and non-negative.
 
     A branch is a tree's subtree under one child of the root, solved from its
     own cables and the fixed root voltage alone, so a base branch with no
@@ -464,22 +467,25 @@ class ComplianceOracle:
         )
 
     def passes(self, cfg: Configuration) -> bool:
-        """Whether ``cfg`` is compliant, re-solving only the branches it touches."""
+        """Whether ``cfg`` is compliant: the :meth:`query` of the switchover
+        from the base tree to it."""
         self.calls += 1
-        switched = cfg.edges ^ self._base
-        _require_known(self.admittances, switched)
-        return self.query(cfg.edges, switched)
+        _require_known(self.admittances, cfg.edges)
+        return self.query(cfg.edges - self._base, self._base - cfg.edges)
 
-    def query(self, active: frozenset[int], switched: frozenset[int]) -> bool:
-        """:meth:`passes` for the tree ``active`` with the known ``switched``
-        cables against the base tree; counts a solve, the caller the call."""
+    def query(self, activations: frozenset[int], deactivations: frozenset[int]) -> bool:
+        """Whether the base tree with the known ``activations`` switched on
+        and ``deactivations`` off is compliant; counts a solve, the caller the
+        call.  The tree's edge set is built only once no untouched base
+        branch fails."""
         self.solves += 1
         edges, branch_of = self.admittances.edges, self._branch_of
-        touched = {branch_of[v] for eid in switched for v in edges[eid][:2]}
+        touched = {branch_of[v] for eid in activations | deactivations for v in edges[eid][:2]}
         touched.discard(-1)
         if not self._failing <= touched:
             return False
-        return self._verdict(active, frozenset().union(*map(self._members.__getitem__, touched)))
+        nodes = frozenset().union(*map(self._members.__getitem__, touched))
+        return self._verdict(self._base - deactivations | activations, nodes)
 
     def _verdict(self, active: frozenset[int], nodes: frozenset[int]) -> bool:
         """Bounds on ``nodes`` and their parent cables under ``active``, new

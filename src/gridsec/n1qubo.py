@@ -57,6 +57,7 @@ from .qubo import (
     Qubo,
     QuboBuilder,
     VarAllocator,
+    domain_wall,
     domain_wall_decode,
     domain_wall_level_terms,
     pair_reduction_penalty,
@@ -316,9 +317,7 @@ def _tree_groups(network: Network, tree: TreeVars, n: int) -> dict[str, Qubo]:
 
     dw = QuboBuilder()
     for var_bits in list(tree.node_bits.values()) + list(tree.edge_bits.values()):
-        for a, b in zip(var_bits, var_bits[1:]):
-            dw.add_linear(a, 1.0)
-            dw.add(a, b, -1.0)
+        dw.add_qubo(domain_wall(var_bits)[0])
 
     # exactly one root, and it must be an OS node
     root = QuboBuilder()

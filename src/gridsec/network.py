@@ -76,6 +76,8 @@ class Node:
         )
         if self.kind not in (OS, MSR):
             raise ValidationError(f"node {self.id}: kind must be OS or MSR, got {self.kind!r}")
+        if not self.u_nom > 0:
+            raise ValidationError(f"node {self.id}: u_nom must be positive, got {self.u_nom}")
         if not self.u_min > 0:
             raise ValidationError(f"node {self.id}: u_min must be positive, got {self.u_min}")
         if self.u_max < self.u_min:

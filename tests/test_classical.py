@@ -231,8 +231,8 @@ class TestEnumeration:
             full = list(enumerate_reconfigurations(net, cfg, k))
             for f in sorted(cfg.edges):
                 streamed = [
-                    (Switchover(a, d), Configuration(kept - d))
-                    for a, d, kept in _reconfigurations(cycles, cfg, k, frozenset({f}))
+                    (Switchover(a, d), Configuration(cfg.edges - d | a))
+                    for a, d in _reconfigurations(cycles, k, frozenset({f}))
                 ]
                 assert streamed == [entry for entry in full if f in entry[0].deactivate]
 
@@ -289,13 +289,12 @@ class TestStepOneReference:
         """``run(net, oracle)``'s witnesses, call and solve counts, and the
         failing edge and verdict of every solve, in order."""
         oracle = ComplianceOracle(net)
-        base = net.initial_configuration().edges
         solves = []
         query = ComplianceOracle.query
 
-        def counting(self, active, switched):
-            (failing_edge,) = base - active
-            solves.append((failing_edge, query(self, active, switched)))
+        def counting(self, activations, deactivations):
+            (failing_edge,) = deactivations
+            solves.append((failing_edge, query(self, activations, deactivations)))
             return solves[-1][1]
 
         with mock.patch.object(ComplianceOracle, "query", counting):

@@ -188,6 +188,15 @@ class TestEnumerate:
             assert out == ""
             assert err == f"error: cannot restrict to edges [{edge}]: not in the configuration\n"
 
+    def test_non_positive_u_nom_is_input_error(self, capsys, tmp_path):
+        doc = json.loads(Path(SEVENBUS).read_text())
+        doc["nodes"][0]["u_nom"] = -10500.0
+        path = tmp_path / "negative_u_nom.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "enumerate", "--network", str(path), "--k", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: node 1: u_nom must be positive, got -10500.0\n"
+
 
 class TestLoadflow:
     def test_fixture_swap_compliant(self, capsys):

@@ -119,6 +119,15 @@ class TestParsing:
         with pytest.raises(ValidationError, match="node 1: load must be finite"):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("u_nom", [-10500.0, 0.0])
+    def test_non_positive_u_nom_rejected(self, sevenbus, u_nom):
+        # node 1 is an MSR node, whose band does not pin its nominal voltage
+        doc = sevenbus.as_dict()
+        doc["nodes"][0]["u_nom"] = u_nom
+        with pytest.raises(ValidationError) as raised:
+            parse_network(json.dumps(doc))
+        assert str(raised.value) == f"node 1: u_nom must be positive, got {u_nom}"
+
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
     def test_non_boolean_active_rejected(self, sevenbus, flag):
         doc = sevenbus.as_dict()
