@@ -22,6 +22,23 @@ with its base flows, as in the branch-exchange analyses of Civanlar et al.
 those branches' base verdicts, walks the touched ones and solves the new
 branches among them largest first, up to the first violation.
 
+Before any walk, the oracle tries to prove a violation from load floors.
+A compliant node keeps ``|U|`` inside its band, so its load admittance Y
+draws at least ``p = Re(Y) |U|^2`` and ``q = -Im(Y) |U|^2`` taken at the
+band edge that makes them smallest.  In a branch holding no OS node but
+the root, with no cable of negative resistance or reactance:
+
+* the head cable carries the branch's loads plus its losses, so its
+  current is at least ``hypot(max(sum p, 0), max(sum q, 0)) / |U_root|``
+  (the branch-exchange argument of Civanlar et al.);
+* each cable lowers ``|U|^2`` by ``2 (r P' + x Q') + |z|^2 |I|^2`` over the
+  receiving-end flows P', Q' (DistFlow, Baran & Wu), and P', Q' are at
+  least the floors fed through it, so dropping the losses, as LinDistFlow
+  does (Gan, Li, Topcu & Low, IEEE TAC 2015), bounds ``|U|^2`` from above.
+
+A head bound above the cable's limit, or a voltage bound below the band,
+proves the switchover non-compliant without a load flow.
+
 The dense system of :func:`assemble_system` and :func:`solve_loadflow`
 (LU with a condition-number guard) stays as the reference the tree solve
 is tested against.
@@ -57,6 +74,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-9
 CONDITION_LIMIT = 1e12
 PIVOT_LIMIT = 1e-12
+SCREEN_MARGIN = 1e-9
 
 
 class SingularSystemError(Exception):
@@ -434,7 +452,8 @@ class ComplianceOracle:
     about a whole configuration.  ``calls`` counts the queries, the classical
     query unit compared against the amplitude-amplification search; a caller
     that skips a query which cannot change a verdict still adds it, and
-    ``solves`` counts the queries answered.  A result that is not a spanning
+    ``solves`` counts the queries answered, ``screened`` those among them
+    proved non-compliant without a load flow.  A result that is not a spanning
     tree, or whose system is singular, is non-compliant; an unknown edge id
     in :meth:`passes` raises ``ValueError``, and so does a ``tol`` that is
     not finite and non-negative.
@@ -445,6 +464,22 @@ class ComplianceOracle:
     on a pivot failure).  The new branches among the touched ones are
     eliminated and checked one at a time, largest first, so an overloaded
     head cable of the branch that took on load ends a query early.
+
+    Before that walk, the load-floor bounds of the module docstring screen the
+    query in a number of steps that grows with k alone.  The k deactivations
+    cut the base tree into pieces, and the activations hang them, as a
+    contracted tree, under attach points of the root part; anything else (a
+    cycle, a piece left over) goes to the walk.  A piece's floors leave at its
+    base parent and arrive at its attach point, so a new branch's head floor
+    is its base sum plus the pieces it gains minus those cut from it, and an
+    attach point's voltage bound is its base bound shifted by each move's
+    floors times the root-path sums of r and x down to the common base
+    ancestor.  The head bound is checked first, then the bound at each attach
+    point; one beyond the tolerant limit by the relative ``SCREEN_MARGIN``
+    answers False.  The screen is off on a grid with a cable of negative r or
+    x, and it leaves to the walk every query that moves a piece holding an OS
+    node, every branch holding a second OS node, and every zero-rated head
+    cable, whose limit ``tol`` sits at the float noise of a currentless cable.
     """
 
     def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
@@ -452,11 +487,12 @@ class ComplianceOracle:
         self.tol = _validated(tol)
         self.calls = 0
         self.solves = 0
+        self.screened = 0
         self.admittances = adm = Admittances.of(network)
         self._limits = _limits(adm, self.tol)
         self._base = base = network.initial_configuration().edges
 
-        order, *_, starts = _tree(adm, base)
+        order, up_of, link, starts = _tree(adm, base)
         self._members = tuple(frozenset(order[lo:hi]) for lo, hi in zip(starts, starts[1:]))
         self._branch_of = branch_of = [-1] * len(adm.node_ids)  # -1 for the root
         for b, nodes in enumerate(self._members):
@@ -465,6 +501,72 @@ class ComplianceOracle:
         self._failing = frozenset(
             b for b, nodes in enumerate(self._members) if not self._verdict(base, nodes)
         )
+        self._screen = all(z.real >= 0 and z.imag >= 0 for *_, z, _ in adm.edges.values())
+        if self._screen:
+            self._prepare_screen(order, up_of, link, starts)
+
+    def _prepare_screen(self, order, up_of, link, starts) -> None:
+        """The screen's constants on the base tree, per node: parent, preorder
+        interval, subtree sums of the floors and of OS nodes, root-path sums
+        of r and x, voltage bound and squared band floor; per cable: its
+        child end and head limit; per branch: head cable and floors; and a
+        sparse table of the shallowest node over preorder ranges."""
+        adm = self.admittances
+        volts, amps = self._limits
+        root, fixed = adm.root, adm.fixed
+        size = len(fixed)
+        self._up = up_of
+        self._below = {link[v][0]: v for v in order}
+        children = [[] for _ in range(size)]
+        for v in order:
+            children[up_of[v]].append(v)
+        preorder, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            stack += reversed(children[v])
+        self._tin = tin = [0] * size
+        for t, v in enumerate(preorder):
+            tin[v] = t
+        self._tout = tout = [t + 1 for t in tin]
+        floor_p, floor_q = [0.0] * size, [0.0] * size
+        for v, (y, (low, high)) in enumerate(zip(adm.loads, volts)):
+            floor_p[v] = y.real * (low * low if y.real >= 0 else high * high)
+            floor_q[v] = -y.imag * (low * low if y.imag <= 0 else high * high)
+        os_below = [int(f is not None) for f in fixed]
+        for v in reversed(order):
+            up = up_of[v]
+            floor_p[up] += floor_p[v]
+            floor_q[up] += floor_q[v]
+            os_below[up] += os_below[v]
+            tout[up] = max(tout[up], tout[v])
+        depth, path_r, path_x = [0] * size, [0.0] * size, [0.0] * size
+        bound = [abs(fixed[root]) ** 2] * size
+        for v in order:
+            up, z = up_of[v], adm.edges[link[v][0]][4]
+            depth[v] = depth[up] + 1
+            path_r[v] = path_r[up] + z.real
+            path_x[v] = path_x[up] + z.imag
+            bound[v] = bound[up] - 2 * (z.real * floor_p[v] + z.imag * floor_q[v])
+        self._floors, self._os_below = (floor_p, floor_q), os_below
+        self._path, self._bound, self._depth = (path_r, path_x), bound, depth
+        self._low = [low * low * (1 - SCREEN_MARGIN) for low, _ in volts]
+        head_u = abs(fixed[root]) * (1 + SCREEN_MARGIN)
+        self._head_limit = {
+            eid: amps[eid] * head_u if i_max > 0 else math.inf
+            for eid, (*_, i_max) in adm.edges.items()
+        }
+        self._heads = tuple(  # per base branch: head cable and floors, None if it holds an OS node
+            None if os_below[v] else (link[v][0], floor_p[v], floor_q[v])
+            for v in (order[lo] for lo in starts[:-1])
+        )
+        table = [preorder]
+        while 1 << len(table) <= size:
+            last, half = table[-1], 1 << (len(table) - 1)
+            table.append([
+                a if depth[a] < depth[b] else b for a, b in zip(last, last[half:])
+            ])
+        self._table = table
 
     def passes(self, cfg: Configuration) -> bool:
         """Whether ``cfg`` is compliant: the :meth:`query` of the switchover
@@ -477,15 +579,129 @@ class ComplianceOracle:
         """Whether the base tree with the known ``activations`` switched on
         and ``deactivations`` off is compliant; counts a solve, the caller the
         call.  The tree's edge set is built only once no untouched base
-        branch fails."""
+        branch fails and the screen proves no violation."""
         self.solves += 1
         edges, branch_of = self.admittances.edges, self._branch_of
         touched = {branch_of[v] for eid in activations | deactivations for v in edges[eid][:2]}
         touched.discard(-1)
         if not self._failing <= touched:
             return False
+        if self._screen and self._proves_violation(activations, deactivations):
+            self.screened += 1
+            return False
         nodes = frozenset().union(*map(self._members.__getitem__, touched))
         return self._verdict(self._base - deactivations | activations, nodes)
+
+    def _proves_violation(self, activations: frozenset[int], deactivations: frozenset[int]) -> bool:
+        """The screen of the class docstring: whether a changed branch's head
+        floor current or an attach point's voltage bound violates.  False
+        whenever the switched cables do not contract to a tree."""
+        k = len(deactivations)
+        if len(activations) != k or not deactivations <= self._base:
+            return False
+        tin, tout, up, os_below = self._tin, self._tout, self._up, self._os_below
+        cuts = [self._below[d] for d in deactivations]  # the pieces' base tops
+        if k > 1:
+            cuts.sort(key=tin.__getitem__)
+        spans = []  # deepest first: a later cut in preorder never holds an earlier one
+        for i, c in enumerate(cuts, 1):
+            if os_below[c]:
+                return False
+            spans.insert(0, (tin[c], tout[c], i))
+
+        def part(v):  # 1 + the index of the deepest cut above v, or 0 in the root part
+            t = tin[v]
+            for lo, hi, i in spans:
+                if lo <= t < hi:
+                    return i
+            return 0
+
+        floor_p, floor_q = self._floors
+        own_p, own_q = [0.0], [0.0]
+        moves = []  # (base node, floors gained there), losses negative
+        for c in cuts:
+            p, q = floor_p[c], floor_q[c]
+            own_p.append(p)
+            own_q.append(q)
+            outer = part(up[c])
+            if outer:
+                own_p[outer] -= p
+                own_q[outer] -= q
+            else:
+                moves.append((up[c], -p, -q))
+
+        pending = []
+        for a in activations:
+            x, y = self.admittances.edges[a][:2]
+            pending.append((part(x), x, part(y), y, a))
+        hang, reached = [], {0}  # (parent part, attach point, part, cable), parents first
+        for _ in range(k):  # each hangs one more part, or the cables are no tree
+            for end in pending:
+                px, x, py, y, a = end
+                if (px in reached) != (py in reached):
+                    break
+            else:
+                return False
+            pending.remove(end)
+            if py in reached:
+                px, x, py = py, y, px
+            hang.append((px, x, py, a))
+            reached.add(py)
+
+        root, limit = self.admittances.root, self._head_limit
+        gains = []  # attach points in the root part, with the floors hung there
+        for p, x, q, a in reversed(hang):
+            if p:
+                own_p[p] += own_p[q]
+                own_q[p] += own_q[q]
+            elif x == root:  # a new branch, headed by the activated cable
+                if math.hypot(max(own_p[q], 0.0), max(own_q[q], 0.0)) > limit[a]:
+                    return True
+            else:
+                gains.append(x)
+                moves.append((x, own_p[q], own_q[q]))
+
+        branch_of, heads = self._branch_of, self._heads
+        changed = {}  # base branch: the floors it gains, net
+        for m, p, q in moves:
+            b = branch_of[m]
+            if b in changed:
+                p += changed[b][0]
+                q += changed[b][1]
+            changed[b] = p, q
+        changed.pop(-1, None)  # a cut head cable leaves no branch behind
+        for b, (p, q) in changed.items():
+            head = heads[b]
+            if head and math.hypot(max(head[1] + p, 0.0), max(head[2] + q, 0.0)) > limit[head[0]]:
+                return True
+
+        (path_r, path_x), bound, low = self._path, self._bound, self._low
+        for w in gains:
+            b = branch_of[w]
+            if heads[b] is None:
+                continue
+            ub = bound[w]
+            for m, p, q in moves:
+                if branch_of[m] == b:
+                    c = self._common(w, m)
+                    ub -= 2 * (p * path_r[c] + q * path_x[c])
+            if ub < low[w]:
+                return True
+        return False
+
+    def _common(self, u: int, v: int) -> int:
+        """The deepest common base-tree ancestor of ``u`` and ``v``: the
+        parent of the shallowest node of the preorder after the earlier one,
+        up to the later one."""
+        lo, hi = self._tin[u], self._tin[v]
+        if lo > hi:
+            lo, hi = hi, lo
+        elif lo == hi:
+            return u
+        j = (hi - lo).bit_length() - 1
+        row, depth = self._table[j], self._depth
+        a, b = row[lo + 1], row[hi + 1 - (1 << j)]
+        return self._up[a if depth[a] < depth[b] else b]
 
     def _verdict(self, active: frozenset[int], nodes: frozenset[int]) -> bool:
         """Bounds on ``nodes`` and their parent cables under ``active``, new

@@ -29,7 +29,7 @@ from gridsec.network import (
     parse_network,
 )
 
-from conftest import compliant, make_network, spanning_trees
+from conftest import compliant, grids_with_spares, make_network, spanning_trees
 from test_loadflow import branchy_grids
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -92,32 +92,6 @@ def reference_step2(network, remaining, k, oracle):
                     witnesses.setdefault(covered, switch)
                 break
     return witnesses
-
-
-@st.composite
-def grids_with_spares(draw):
-    """A random connected 4-9-node grid whose active set is a random
-    spanning tree, leaving 1-4 spare cables (parallel cables allowed)."""
-    n = draw(st.integers(4, 9), label="nodes")
-    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
-    for _ in range(draw(st.integers(1, 4), label="spares")):
-        a = draw(st.integers(0, n - 1))
-        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
-        pairs.append((a, b))
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    active = set()
-    for eid in draw(st.permutations(range(1, len(pairs) + 1)), label="cable order"):
-        ra, rb = find(pairs[eid - 1][0]), find(pairs[eid - 1][1])
-        if ra != rb:
-            parent[ra] = rb
-            active.add(eid)
-    return make_network(n, pairs, active)
 
 
 def feeder_ring():

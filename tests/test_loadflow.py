@@ -1,4 +1,7 @@
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,9 +24,12 @@ from gridsec.loadflow import (
     solve_loadflow,
     solve_tree,
 )
-from gridsec.network import Configuration, Edge, Network, Node, NotSpanningTreeError
+from gridsec.datasets import bundled_names, load_bundled
+from gridsec.network import Configuration, Edge, Network, Node, NotSpanningTreeError, parse_network
 
-from conftest import compliant, full_report, make_network, spanning_trees, tree_config
+from conftest import compliant, full_report, grids_with_spares, make_network, spanning_trees, tree_config
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def independent_fixture_solve(network, cfg):
@@ -657,6 +663,7 @@ class TestOracleVerdict:
         assert report.voltage_violations == ()
         assert [eid for eid, *_ in report.current_violations] == ([] if passes else [4])
         assert oracle.passes(moved) is passes
+        assert oracle.screened == 0  # the walk, not the screen, sees cable 4
 
 
 class TestOracleEarlyExit:
@@ -667,7 +674,9 @@ class TestOracleEarlyExit:
     Closing it and opening cable 7 moves node 7 into A, so the new A holds
     three nodes and the new B four.  A walks first (its head cable has the
     lower id), so only a largest-first solve sweeps B first.  A node draws
-    about 19 A."""
+    about 19 A; the new heads carry 57.8 A (A) and 77.0 A (B), and their
+    load floors alone prove 50.3 A and 67.1 A, so the screen answers a
+    query whose rating lies below a floor without a sweep."""
 
     PAIRS = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 7)]
     MOVED = Configuration.of([1, 2, 3, 4, 5, 6, 8])
@@ -693,17 +702,21 @@ class TestOracleEarlyExit:
             return oracle.passes(cfg), sweeps
 
     @pytest.mark.parametrize("i_max, violating, branches", [
-        ({1: 50.0}, [1], [{3, 4, 5, 6}, {1, 2, 7}]),  # only the smaller new branch violates
-        ({1: 50.0, 3: 70.0}, [1, 3], [{3, 4, 5, 6}]),  # both do; the larger ends the query
+        ({1: 50.0}, [1], []),  # A's floors exceed 50 A: screened, nothing swept
+        ({1: 50.0, 3: 70.0}, [1, 3], []),
+        ({1: 51.0}, [1], [{3, 4, 5, 6}, {1, 2, 7}]),  # only the smaller new branch violates
+        ({1: 51.0, 3: 68.0}, [1, 3], [{3, 4, 5, 6}]),  # both do; the larger ends the query
     ])
     def test_first_violation_ends_the_query(self, i_max, violating, branches):
         net = self.grid(i_max)
         report = full_report(net, self.MOVED)
         assert report.voltage_violations == ()
         assert [eid for eid, *_ in report.current_violations] == violating
-        passes, sweeps = self.swept(ComplianceOracle(net), self.MOVED)
+        oracle = ComplianceOracle(net)
+        passes, sweeps = self.swept(oracle, self.MOVED)
         assert passes is False
         assert [set(offsets) for offsets in sweeps] == branches
+        assert oracle.screened == (not branches)
 
     @pytest.mark.parametrize("factor", [0.999, 1.001])
     def test_second_os_node_in_a_touched_branch(self, factor):
@@ -715,7 +728,171 @@ class TestOracleEarlyExit:
         base = net.initial_configuration()
         for _, cfg in enumerate_reconfigurations(net, base, 1):
             assert oracle.passes(cfg) == full_report(net, cfg).compliant
+        screened = oracle.screened
         passes, sweeps = self.swept(oracle, self.MOVED)
+        assert oracle.screened == screened
         assert passes is (factor > 1) is full_report(net, self.MOVED).compliant
         offsets = sweeps[0]
         assert set(offsets) == {3, 4, 5, 6} and offsets[3] and offsets[4] and not offsets[6]
+
+
+@st.composite
+def stressed_grids(draw):
+    """A random 4-14-node grid whose root OS node 0 heads 2-4 branches, with
+    1-4 spare cables and no other OS node.  Loads reach 1.5 MW, a few of
+    them negative, and impedances 2 + 2j ohm.  A base cable is rated 0.9-3
+    times the load below it at nominal voltage, a spare up to 300 A, so the
+    base tree mostly complies and switchovers fail by head overload, by
+    under-voltage or by a hair, often enough for the screen to act."""
+    n = draw(st.integers(4, 14), label="nodes")
+    heads = draw(st.integers(2, min(4, n - 1)), label="branches")
+    pairs = [(0, k) if k <= heads else (draw(st.integers(1, k - 1)), k) for k in range(1, n)]
+    for _ in range(draw(st.integers(1, 4), label="spares")):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
+        pairs.append((a, b))
+    below = [0j] + [complex(draw(st.floats(-2e5, 1.5e6)), draw(st.floats(-3e5, 5e5))) for _ in range(1, n)]
+    nodes = [Node(0, "OS", 10500.0, 0j, 10500.0, 10500.0)]
+    nodes += [Node(nid, "MSR", 10500.0, below[nid], 9800.0, 11000.0) for nid in range(1, n)]
+    for k in range(n - 1, 0, -1):  # each node's parent precedes it
+        below[pairs[k - 1][0]] += below[k]
+    edges = [
+        Edge(eid, a, b, complex(draw(st.floats(1e-3, 2.0)), draw(st.floats(0.0, 2.0))),
+             abs(below[b]) / 10500.0 * draw(st.floats(0.9, 3.0)) if eid < n else draw(st.floats(0.0, 300.0)),
+             eid < n)
+        for eid, (a, b) in enumerate(pairs, start=1)
+    ]
+    return Network(nodes, edges)
+
+
+@pytest.fixture(scope="module")
+def feeder_grid():
+    """Builds the seed-1 feeder grid of ``benchmarks/feeders.py``, every MSR
+    load rescaled to ``load_kw`` as ``scripts/ring_check.py`` does.
+    ``benchmarks/`` is imported read-only: no bytecode is written there."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCHMARKS))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        import feeders
+
+    def build(count, length, ring, load_kw=None):
+        doc = feeders.feeder_grid(count, length, 1, ring=ring)
+        if load_kw is not None:
+            for node in doc["nodes"]:
+                if node["type"] == "MSR":
+                    node["load"] = [part * load_kw * 1e3 / feeders.LOAD_W for part in node["load"]]
+        return parse_network(json.dumps(doc))
+
+    return build
+
+
+class TestOracleScreen:
+    """The screen answers False without a load flow, from load floors summed
+    over the base tree.  It may act only on a switchover the full report of
+    ``solve_tree`` and ``check_compliance`` finds non-compliant, and every
+    verdict stays the report's."""
+
+    @staticmethod
+    def assert_sound(network, configs=()):
+        """Every 1- and 2-switchover from the base tree, then ``configs``,
+        through :meth:`ComplianceOracle.passes`; returns the oracle."""
+        oracle = ComplianceOracle(network)
+        base = network.initial_configuration()
+        for k in (1, 2):
+            if k <= len(network.inactive_ids):
+                configs = [*(cfg for _, cfg in enumerate_reconfigurations(network, base, k)), *configs]
+        for cfg in configs:
+            screened = oracle.screened
+            wanted = TestOracleVerdict.reference(network, cfg, oracle)
+            assert oracle.passes(cfg) == wanted
+            assert oracle.screened == screened or not wanted, sorted(cfg.edges)
+        return oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(branchy_grids(), grids_with_spares(), stressed_grids()), st.data())
+    def test_screened_queries_fail_the_reference(self, network, data):
+        ids = sorted(network.edge_by_id)
+        size = len(network.nodes) - 1
+        configs = [
+            Configuration.of(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n, unique=True)))
+            for n in (size, size, data.draw(st.integers(0, len(ids)), label="size"))
+        ]
+        self.assert_sound(network, configs)
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_bundled_networks(self, name):
+        self.assert_sound(load_bundled(name))
+
+    def test_feeder_grid(self, feeder_grid):
+        assert self.assert_sound(feeder_grid(4, 25, ring=False)).screened > 0
+
+    @pytest.mark.parametrize("k, grid, screened", [
+        (1, (4, 25, False), 96),  # feeder-k1: 194 solves, 142 of them failing
+        (2, (3, 12, True), 692),  # feeder-k2: 821 solves, 785 of them failing
+        (2, (4, 50, True, 100.0), 129_525),  # 130,584 solves, failing by under-voltage
+    ], ids=["feeder-k1", "feeder-k2", "ring-4x50-100kW"])
+    def test_screened_on_the_benchmark_grids(self, feeder_grid, k, grid, screened):
+        oracles = []
+        init = ComplianceOracle.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            oracles.append(self)
+
+        with mock.patch.object(ComplianceOracle, "__init__", recording):
+            check_n1(feeder_grid(*grid), k)
+        (oracle,) = oracles
+        assert oracle.screened == screened
+
+    def test_negative_reactance_turns_the_screen_off(self):
+        """One cable with x < 0 breaks the floors' sign argument, so no
+        query of the grid is screened, while the same grid without it is."""
+        net = TestOracleEarlyExit().grid({1: 50.0})
+        assert self.assert_sound(net).screened > 0
+        flipped = Network(net.nodes, [
+            Edge(e.id, e.n, e.m, e.z.conjugate() if e.id == 5 else e.z, e.i_max, e.initially_active)
+            for e in net.edges
+        ])
+        assert self.assert_sound(flipped).screened == 0
+
+    def test_piece_holding_an_os_node_is_left_to_the_walk(self):
+        """Branch A is 0-1-2-3 with OS node 3 at its tail, branch B 0-4-5.
+        Closing tie 6 (2, 5) and opening cable 2 (1, 2) hangs the piece
+        {2, 3} under node 5.  Its floors alone would overload B's 40 A head,
+        but OS node 3 feeds B from the far end, so the switchover passes."""
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (2, 5)]
+        plain = make_network(6, pairs, {1, 2, 3, 4, 5}, i_max={4: 40.0})
+        net = Network(
+            [Node(3, "OS", 10500.0, 0j, 10500.0, 10500.0) if n.id == 3 else n for n in plain.nodes],
+            plain.edges,
+        )
+        moved = Configuration.of([1, 3, 4, 5, 6])
+        assert full_report(net, moved).compliant
+        assert not full_report(plain, moved).compliant
+        assert self.assert_sound(plain, [moved]).screened > 0
+        oracle = self.assert_sound(net, [moved])
+        assert oracle.screened == 0
+
+    @pytest.mark.parametrize("load", [1.0 + 0.5j, 0j])
+    def test_zero_rated_head_is_left_to_the_solve(self, load):
+        """Cable 1 (0, 1) is rated at zero and node 1 draws nothing.  Closing
+        tie 4 (1, 3) and opening cable 3 (2, 3) hangs node 3 under node 1, so
+        cable 1 carries node 3's current: about 1e-4 A for a 1 W load, far
+        above the floor ``tol``, and float noise for no load at all."""
+        net = make_network(4, [(0, 1), (0, 2), (2, 3), (1, 3)], {1, 2, 3},
+                           loads={1: 0j, 2: 0j, 3: load}, i_max={1: 0.0})
+        moved = Configuration.of([1, 2, 4])
+        assert full_report(net, moved).compliant is (load == 0)
+        assert self.assert_sound(net, [moved]).screened == 0
+
+    def test_zero_load_two_os_grid(self):
+        """The currentless zero-rated cables of a zero-load grid with two OS
+        nodes carry float noise only; their verdicts stay with the solve."""
+        pairs = [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4), (1, 4)]
+        zero = make_network(5, pairs, {1, 2, 3, 4}, loads=dict.fromkeys(range(5), 0j),
+                            i_max=dict.fromkeys(range(1, 7), 0.0))
+        net = Network(
+            [Node(2, "OS", 10500.0, 0j, 10500.0, 10500.0) if n.id == 2 else n for n in zero.nodes],
+            zero.edges,
+        )
+        assert self.assert_sound(net).screened == 0
