@@ -160,12 +160,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_loadflow(args) -> int:
     grid = net.load_network(args.network)
-    cfg = grid.initial_configuration()
-    if args.activate or args.deactivate:
-        unknown = (set(args.activate) | set(args.deactivate)) - set(grid.edge_by_id)
-        if unknown:
-            return _fail(f"unknown edge ids {sorted(unknown)}")
-        cfg = net.Configuration(cfg.edges - set(args.deactivate) | set(args.activate))
+    activate, deactivate = frozenset(args.activate), frozenset(args.deactivate)
+    net._validate_edge_ids(grid, activate | deactivate)
+    cfg = net._switched(grid.initial_configuration(), activate, deactivate)
     solution = loadflow.solve_tree(grid, cfg)
     report = loadflow.check_compliance(grid, cfg, solution, args.tol)
     if args.format == "json":

@@ -54,7 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import OS, Configuration, Network, NotSpanningTreeError, is_spanning_tree
+from .network import (
+    OS, Configuration, Network, NotSpanningTreeError, _validate_edge_ids, is_spanning_tree,
+)
 
 __all__ = [
     "SingularSystemError",
@@ -251,11 +253,6 @@ def _limits(adm: Admittances, tol: float) -> tuple[list[tuple[float, float]], di
     return volts, amps
 
 
-def _require_known(adm: Admittances, edge_ids: frozenset[int]) -> None:
-    if not adm.edges.keys() >= edge_ids:
-        raise ValueError(f"unknown edge ids {sorted(edge_ids - adm.edges.keys())}")
-
-
 def _tree(adm: Admittances, active: frozenset[int], nodes: frozenset[int] | None = None):
     """Walk from the root one branch at a time, in the root's incident order
     and breadth first inside each, so siblings come in edge-id order: the
@@ -388,7 +385,7 @@ def solve_tree(
     The residual, the largest nodal current balance, is computed only here.
     """
     adm = admittances or Admittances.of(network)
-    _require_known(adm, cfg.edges)
+    _validate_edge_ids(network, cfg.edges)
     order, up_of, link, _ = _tree(adm, cfg.edges)
     *_, offset, gain = _sweep(adm, order, up_of, link)
     loads, fixed = adm.loads, adm.fixed
@@ -572,7 +569,7 @@ class ComplianceOracle:
         """Whether ``cfg`` is compliant: the :meth:`query` of the switchover
         from the base tree to it."""
         self.calls += 1
-        _require_known(self.admittances, cfg.edges)
+        _validate_edge_ids(self.network, cfg.edges)
         return self.query(cfg.edges - self._base, self._base - cfg.edges)
 
     def query(self, activations: frozenset[int], deactivations: frozenset[int]) -> bool:

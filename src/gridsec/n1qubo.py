@@ -319,44 +319,29 @@ def _tree_groups(network: Network, tree: TreeVars, n: int) -> dict[str, Qubo]:
     for var_bits in list(tree.node_bits.values()) + list(tree.edge_bits.values()):
         dw.add_qubo(domain_wall(var_bits)[0])
 
-    # exactly one root, and it must be an OS node
+    # exactly one root, and it must be an OS node: a node's first bit is its
+    # depth-0 indicator
     root = QuboBuilder()
-    os_terms: dict[int, float] = {}
-    os_const = 0.0
-    for nid in network.os_ids:
-        terms, const = domain_wall_level_terms(tree.node_bits[nid], 0)
-        _merge_terms(os_terms, terms)
-        os_const += const
-    root.add_square(os_terms, os_const - 1.0)
+    root.add_square({tree.node_bits[nid][0]: 1.0 for nid in network.os_ids}, -1.0)
     for nid in network.msr_ids:
-        terms, const = domain_wall_level_terms(tree.node_bits[nid], 0)
-        root.add_offset(const)
-        for var, coef in terms.items():
-            root.add_linear(var, coef)
+        root.add_linear(tree.node_bits[nid][0], 1.0)
 
-    # every node at depth i >= 1 hangs off exactly one edge in layer i - 1
+    # every node at depth i >= 1 hangs off exactly one edge in layer i - 1:
+    # option i - 1 of an edge seen from its first endpoint, levels - 1 + i - 1
+    # from its second
     con = QuboBuilder()
-    incident_first: dict[int, list[int]] = {node.id: [] for node in network.nodes}
-    incident_second: dict[int, list[int]] = {node.id: [] for node in network.nodes}
+    incident: dict[int, list[tuple[tuple[int, ...], int]]] = {node.id: [] for node in network.nodes}
     for eid, (a, b) in tree.edge_endpoints.items():
-        incident_first[a].append(eid)
-        incident_second[b].append(eid)
+        incident[a].append((tree.edge_bits[eid], 0))
+        incident[b].append((tree.edge_bits[eid], levels - 1))
     for node in network.nodes:
         for depth in range(1, levels):
-            form: dict[int, float] = {}
-            terms, const = domain_wall_level_terms(tree.node_bits[node.id], depth)
-            _merge_terms(form, terms)
-            total_const = const
-            for eid in incident_first[node.id]:
-                terms, const = domain_wall_level_terms(tree.edge_bits[eid], depth - 1)
+            form, const = domain_wall_level_terms(tree.node_bits[node.id], depth)
+            for edge_bits, offset in incident[node.id]:
+                terms, edge_const = domain_wall_level_terms(edge_bits, offset + depth - 1)
                 _merge_terms(form, terms, sign=-1.0)
-                total_const -= const
-            for eid in incident_second[node.id]:
-                option = (levels - 1) + (depth - 1)
-                terms, const = domain_wall_level_terms(tree.edge_bits[eid], option)
-                _merge_terms(form, terms, sign=-1.0)
-                total_const -= const
-            con.add_square(form, total_const)
+                const -= edge_const
+            con.add_square(form, const)
 
     # an in-tree edge at layer l must see its endpoints at depths l and l + 1
     ind = QuboBuilder()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 __all__ = [
     "NetworkError",
@@ -335,10 +335,9 @@ def serialize_network(network: Network) -> str:
 # configuration operations
 # ---------------------------------------------------------------------------
 
-def _validate_edge_ids(network: Network, edge_ids: Iterable[int]) -> None:
-    unknown = sorted(set(edge_ids) - set(network.edge_by_id))
-    if unknown:
-        raise ValueError(f"unknown edge ids {unknown}")
+def _validate_edge_ids(network: Network, edge_ids: AbstractSet[int]) -> None:
+    if not network.edge_by_id.keys() >= edge_ids:
+        raise ValueError(f"unknown edge ids {sorted(edge_ids - network.edge_by_id.keys())}")
 
 
 def _union_find(network: Network, edge_ids: Iterable[int]) -> tuple[list[int], int | None]:
@@ -430,10 +429,17 @@ def fundamental_cycles(network: Network, cfg: Configuration) -> dict[int, frozen
 
 def apply_switchover(cfg: Configuration, s: Switchover) -> Configuration:
     """Deactivate then activate; the result is not necessarily a tree."""
-    if not s.deactivate <= cfg.edges:
-        missing = sorted(s.deactivate - cfg.edges)
+    return _switched(cfg, s.activate, s.deactivate)
+
+
+def _switched(
+    cfg: Configuration, activate: AbstractSet[int], deactivate: AbstractSet[int]
+) -> Configuration:
+    """:func:`apply_switchover`'s checks and result, for unpaired edge sets."""
+    if not deactivate <= cfg.edges:
+        missing = sorted(deactivate - cfg.edges)
         raise ValueError(f"cannot deactivate edges {missing}: not in the configuration")
-    if s.activate & cfg.edges:
-        present = sorted(s.activate & cfg.edges)
+    if activate & cfg.edges:
+        present = sorted(activate & cfg.edges)
         raise ValueError(f"cannot activate edges {present}: already active")
-    return Configuration(cfg.edges - s.deactivate | s.activate)
+    return Configuration(cfg.edges - deactivate | activate)

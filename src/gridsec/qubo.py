@@ -476,7 +476,6 @@ def brute_force_minimize(qubo: Qubo, chunk_bits: int = 19) -> BruteForceResult:
     if n == 0:
         return BruteForceResult((), qubo.offset, 1)
 
-    upper = qubo.to_dense()
     total = 1 << n
     chunk = min(total, 1 << chunk_bits)
     # bit 0 = most significant so ascending integers scan in lexicographic order
@@ -489,7 +488,7 @@ def brute_force_minimize(qubo: Qubo, chunk_bits: int = 19) -> BruteForceResult:
         stop = min(start + chunk, total)
         codes = np.arange(start, stop, dtype=np.uint64)
         bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        energies = ((bits @ upper) * bits).sum(axis=1) + qubo.offset
+        energies = qubo.energies(bits)
         local_min = energies.min()
         if local_min < best_energy:
             best_energy = local_min

@@ -225,6 +225,18 @@ class TestLoadflow:
         assert code == 1
         assert "spanning tree" in err
 
+    @pytest.mark.parametrize("switches, message", [
+        # edges 1-3 and 6-8 are active, 4 and 5 inactive
+        (["--activate", "2", "--deactivate", "4"],
+         "cannot deactivate edges [4]: not in the configuration"),
+        (["--deactivate", "5"], "cannot deactivate edges [5]: not in the configuration"),
+        (["--activate", "2"], "cannot activate edges [2]: already active"),
+        (["--activate", "4", "--deactivate", "99"], "unknown edge ids [99]"),
+    ], ids=["active-on-inactive-off", "inactive-off", "active-on", "unknown"])
+    def test_switch_in_wrong_state_rejected(self, capsys, switches, message):
+        code, out, err = run(capsys, "loadflow", "--network", SEVENBUS, *switches)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_text_prints_voltages_and_currents(self, capsys):
         code, out, _ = run(capsys, "loadflow", "--network", SEVENBUS)
         assert code == 0
