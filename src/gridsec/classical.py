@@ -32,7 +32,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .loadflow import ComplianceOracle
+from .loadflow import DEFAULT_TOLERANCE, ComplianceOracle
 from .network import Configuration, Network, Switchover, fundamental_cycles
 from .network import is_spanning_tree  # noqa: F401  (benchmarks/selftest.py checks this name is restored after tracing)
 
@@ -138,16 +138,13 @@ def _exchange_is_tree(rows: list[frozenset[int]], choice: tuple[int, ...]) -> bo
     return True
 
 
-def step1_single_switch(
-    network: Network, oracle: ComplianceOracle | None = None
-) -> dict[int, Switchover]:
+def step1_single_switch(network: Network, oracle: ComplianceOracle) -> dict[int, Switchover]:
     """First passing single-switchover witness per active edge.
 
     Each single switchover, streamed in canonical order, is one oracle call
     (the classical baseline for query comparisons); per failing edge the
     first passing candidate wins and that edge's later ones go unsolved.
     """
-    oracle = oracle or ComplianceOracle(network)
     witnesses: dict[int, Switchover] = {}
     if not network.inactive_ids:
         return witnesses
@@ -163,10 +160,7 @@ def step1_single_switch(
 
 
 def step2_multi_switch(
-    network: Network,
-    remaining: frozenset[int],
-    k: int,
-    oracle: ComplianceOracle | None = None,
+    network: Network, remaining: frozenset[int], k: int, oracle: ComplianceOracle
 ) -> dict[int, Switchover]:
     """Multi-switchover sweep over the edges step 1 could not clear.
 
@@ -178,7 +172,6 @@ def step2_multi_switch(
         raise ValueError(f"multi-switch step needs k >= 2, got {k}")
     if not remaining <= network.active_ids:
         raise ValueError("remaining edges must be active edges")
-    oracle = oracle or ComplianceOracle(network)
     witnesses: dict[int, Switchover] = {}
     if not remaining or k > len(network.inactive_ids):
         return witnesses
@@ -232,7 +225,7 @@ class N1Report:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def check_n1(network: Network, k_max: int, tol: float = 1e-9) -> N1Report:
+def check_n1(network: Network, k_max: int, tol: float = DEFAULT_TOLERANCE) -> N1Report:
     """Full verdict: step 1, then step 2 with k = 2 .. k_max on the rest."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")

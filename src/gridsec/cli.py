@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--activate", type=int, nargs="*", default=[])
     p.add_argument("--deactivate", type=int, nargs="*", default=[])
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=loadflow.DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_loadflow)
 
     p = sub.add_parser("qubo", help="export the QUBO and its variable layout")

@@ -219,7 +219,8 @@ def grover_search(
     space: SearchSpace,
     oracle: Oracle,
     iterations: int | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> GroverResult:
     """Sample a candidate id from the amplified distribution.
 

@@ -108,9 +108,8 @@ class Admittances:
     Nodes are numbered by their position in ``network.nodes``.  ``edges`` maps
     each edge id, in increasing order, to ``(n, m, 1/z, |1/z|, z, i_max)`` and
     ``incident`` lists each node's ``(edge id, other end, 1/z, |1/z|)`` by edge
-    id.  ``loads``, ``load_scale``, ``fixed`` (``None`` for an MSR node) and
-    ``bands`` hold each node's load admittance, its magnitude, fixed voltage
-    and ``(u_min, u_max)``.
+    id.  ``loads``, ``load_scale`` and ``fixed`` (``None`` for an MSR node)
+    hold each node's load admittance, its magnitude and fixed voltage.
     """
 
     node_ids: tuple[int, ...]
@@ -120,7 +119,6 @@ class Admittances:
     loads: tuple[complex, ...]
     load_scale: tuple[float, ...]
     fixed: tuple[complex | None, ...]
-    bands: tuple[tuple[float, float], ...]
 
     @classmethod
     def of(cls, network: Network) -> Admittances:
@@ -145,7 +143,6 @@ class Admittances:
             fixed=tuple(
                 complex(node.u_nom) if node.kind == OS else None for node in network.nodes
             ),
-            bands=tuple((node.u_min, node.u_max) for node in network.nodes),
         )
 
 
@@ -217,13 +214,13 @@ def assemble_system(network: Network, cfg: Configuration) -> LinearSystem:
     return LinearSystem(a=a, b=b, unknown_index=unknown_index, fixed=fixed)
 
 
-def solve_loadflow(system: LinearSystem, condition_limit: float = CONDITION_LIMIT) -> VoltageSolution:
+def solve_loadflow(system: LinearSystem) -> VoltageSolution:
     """Direct dense solve (LU with partial pivoting) plus a residual check."""
     if system.a.size:
         cond = np.linalg.cond(system.a)
-        if not np.isfinite(cond) or cond > condition_limit:
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SingularSystemError(
-                f"system condition number {cond:.3e} exceeds {condition_limit:.1e}"
+                f"system condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
             )
         x = np.linalg.solve(system.a, system.b)
         residual = float(np.abs(system.a @ x - system.b).max())
@@ -242,14 +239,14 @@ def _validated(tol: float) -> float:
     return tol
 
 
-def _limits(adm: Admittances, tol: float) -> tuple[list[tuple[float, float]], dict[int, float]]:
-    """The one bounds rule: node position v violates outside ``volts[v]``
-    and cable ``eid`` above ``amps[eid]``.  A zero-rated cable gets the
-    absolute floor ``tol`` so float noise on a truly currentless cable does
-    not read as a violation."""
+def _limits(network: Network, tol: float) -> tuple[list[tuple[float, float]], dict[int, float]]:
+    """The one bounds rule: the node at position v in ``network.nodes``
+    violates outside ``volts[v]`` and cable ``eid`` above ``amps[eid]``.  A
+    zero-rated cable gets the absolute floor ``tol`` so float noise on a
+    truly currentless cable does not read as a violation."""
     low, high = 1.0 - tol, 1.0 + tol
-    volts = [(u_min * low, u_max * high) for u_min, u_max in adm.bands]
-    amps = {eid: i_max * high if i_max > 0 else tol for eid, (*_, i_max) in adm.edges.items()}
+    volts = [(node.u_min * low, node.u_max * high) for node in network.nodes]
+    amps = {e.id: e.i_max * high if e.i_max > 0 else tol for e in network.edges}
     return volts, amps
 
 
@@ -333,38 +330,7 @@ def _sweep(adm: Admittances, order: list[int], up_of: list[int], link: list, sta
     return state
 
 
-def _compliance(adm: Admittances, cfg: Configuration, u: list, tol: float) -> ComplianceReport:
-    """The full compliance report over voltages by node position."""
-    volts, amps = _limits(adm, tol)
-    voltage_violations = []
-    for nid, voltage, (u_min, u_max), (low, high) in zip(adm.node_ids, u, adm.bands, volts):
-        mag = abs(voltage)
-        if mag < low:
-            voltage_violations.append((nid, mag, u_min))
-        elif mag > high:
-            voltage_violations.append((nid, mag, u_max))
-
-    active = cfg.edges
-    currents: dict[int, complex] = {}
-    current_violations = []
-    for eid, (i, j, _, _, z, i_max) in adm.edges.items():
-        if eid not in active:
-            continue
-        currents[eid] = current = (u[j] - u[i]) / z
-        if abs(current) > amps[eid]:
-            current_violations.append((eid, abs(current), i_max))
-
-    return ComplianceReport(
-        compliant=not voltage_violations and not current_violations,
-        voltage_violations=tuple(voltage_violations),
-        current_violations=tuple(current_violations),
-        currents=currents,
-    )
-
-
-def solve_tree(
-    network: Network, cfg: Configuration, admittances: Admittances | None = None
-) -> VoltageSolution:
+def solve_tree(network: Network, cfg: Configuration) -> VoltageSolution:
     """Exact load flow of a spanning-tree configuration in O(n).
 
     A walk from the first OS node, breadth first inside each branch, gives
@@ -378,13 +344,12 @@ def solve_tree(
     so the parent's update ``y^2 / d_v - y = -y rest_v / d_v`` never cancels,
     even across a near-zero impedance.
 
-    Pass ``admittances`` to reuse the per-network constants across calls.
     Raises :class:`NotSpanningTreeError` unless ``cfg`` has |V| - 1 edges
     connecting every node, and :class:`SingularSystemError` when a pivot is
     at most ``PIVOT_LIMIT`` times the sum of admittance magnitudes in its row.
     The residual, the largest nodal current balance, is computed only here.
     """
-    adm = admittances or Admittances.of(network)
+    adm = Admittances.of(network)
     _validate_edge_ids(network, cfg.edges)
     order, up_of, link, _ = _tree(adm, cfg.edges)
     *_, offset, gain = _sweep(adm, order, up_of, link)
@@ -414,8 +379,32 @@ def check_compliance(
     Edge current is ``(U_m - U_n) / Z_nm`` for every configuration edge, in
     edge-id order; voltage magnitudes are checked against each node's band.
     """
-    adm = Admittances.of(network)
-    return _compliance(adm, cfg, [solution.u[nid] for nid in adm.node_ids], _validated(tol))
+    u = solution.u
+    volts, amps = _limits(network, _validated(tol))
+    voltage_violations = []
+    for node, (low, high) in zip(network.nodes, volts):
+        mag = abs(u[node.id])
+        if mag < low:
+            voltage_violations.append((node.id, mag, node.u_min))
+        elif mag > high:
+            voltage_violations.append((node.id, mag, node.u_max))
+
+    active = cfg.edges
+    currents: dict[int, complex] = {}
+    current_violations = []
+    for e in network.edges:
+        if e.id not in active:
+            continue
+        currents[e.id] = current = (u[e.m] - u[e.n]) / e.z
+        if abs(current) > amps[e.id]:
+            current_violations.append((e.id, abs(current), e.i_max))
+
+    return ComplianceReport(
+        compliant=not voltage_violations and not current_violations,
+        voltage_violations=tuple(voltage_violations),
+        current_violations=tuple(current_violations),
+        currents=currents,
+    )
 
 
 def problem_edges(network: Network) -> frozenset[int]:
@@ -486,7 +475,7 @@ class ComplianceOracle:
         self.solves = 0
         self.screened = 0
         self.admittances = adm = Admittances.of(network)
-        self._limits = _limits(adm, self.tol)
+        self._limits = _limits(network, self.tol)
         self._base = base = network.initial_configuration().edges
 
         order, up_of, link, starts = _tree(adm, base)

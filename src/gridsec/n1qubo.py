@@ -46,7 +46,7 @@ OS voltage is a grid with no bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -84,7 +84,8 @@ STRUCTURAL_GROUPS = ("domain_wall", "root", "connectivity", "indicator", "aux")
 
 @dataclass(frozen=True)
 class PenaltyWeights:
-    """Positive penalty factors; ``None`` fields resolve to network defaults.
+    """Finite positive penalty factors; ``None`` fields resolve to network
+    defaults in :meth:`groups`.
 
     The load-flow residual weights default to 0.1: the residual groups carry
     an irreducible quantization floor, so they are scaled well below the
@@ -101,32 +102,36 @@ class PenaltyWeights:
     current: float = 0.1
     aux: float | None = None
 
-    def resolved(self, n_edges: int) -> PenaltyWeights:
-        """Fill tree-side defaults.
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:  # a default fills these
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+                raise ValueError(f"penalty weight {f.name} must be a finite positive number, got {value!r}")
+
+    def groups(self, n_edges: int) -> dict[str, float]:
+        """The weight of every penalty group, in group order.
 
         Constraint weights beat any achievable objective value (2 |E| each);
         the domain-wall weight additionally dominates the worst negative
         excursion a broken wall can draw out of the indicator penalty
-        (4 per wall defect), so malformed strings never pay off.
+        (4 per wall defect), so malformed strings never pay off.  The
+        ``aux`` group has weight 1: ``aux`` weights each of its bits.
         """
         base = 2.0 * max(1, n_edges)
         ind = self.ind if self.ind is not None else base
-        return replace(
-            self,
-            dw=self.dw if self.dw is not None else 4.0 * ind + base,
-            root=self.root if self.root is not None else base,
-            con=self.con if self.con is not None else base,
-            ind=ind,
-        )
-
-    def validated(self) -> PenaltyWeights:
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if value is None and name in ("dw", "root", "con", "ind", "aux"):  # a default fills these
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
-                raise ValueError(f"penalty weight {name} must be a finite positive number, got {value!r}")
-        return self
+        return {
+            "domain_wall": self.dw if self.dw is not None else 4.0 * ind + base,
+            "root": self.root if self.root is not None else base,
+            "connectivity": self.con if self.con is not None else base,
+            "indicator": ind,
+            "objective": 1.0,
+            "residual_real": self.u_real,
+            "residual_imag": self.u_imag,
+            "current": self.current,
+            "aux": 1.0,
+        }
 
 
 @dataclass(frozen=True)
@@ -387,46 +392,25 @@ def _tree_groups(network: Network, tree: TreeVars, n: int) -> dict[str, Qubo]:
 def build_tree_qubo(
     network: Network,
     levels: int,
-    weights: PenaltyWeights | None = None,
+    weights: PenaltyWeights = PenaltyWeights(),
     failing_edge: int | None = None,
 ) -> tuple[Qubo, QuboLayout]:
     """Spanning-tree QUBO whose zero-penalty states are exactly the encodings
     of OS-rooted spanning trees of height <= levels - 1, with energy equal to
     the number of switches away from the active set.
     """
-    weights = _resolved(weights, network, failing_edge)
     alloc = VarAllocator()
     tree = _tree_variables(network, levels, failing_edge, alloc)
-    groups = _tree_groups(network, tree, alloc.count)
-    return _with_qubo(QuboLayout(alloc.labels, groups, _tree_weights(weights), tree=tree))
+    table = weights.groups(len(network.edges) - (failing_edge is not None))
+    return _with_qubo(alloc.labels, _tree_groups(network, tree, alloc.count), table, tree=tree)
 
 
-def _resolved(weights: PenaltyWeights | None, network: Network, failing_edge: int | None) -> PenaltyWeights:
-    return (weights or PenaltyWeights()).validated().resolved(
-        len(network.edges) - (failing_edge is not None)
-    )
-
-
-def _tree_weights(weights: PenaltyWeights) -> dict[str, float]:
-    return {
-        "domain_wall": weights.dw,
-        "root": weights.root,
-        "connectivity": weights.con,
-        "indicator": weights.ind,
-        "objective": 1.0,
-    }
-
-
-def _residual_weights(weights: PenaltyWeights) -> dict[str, float]:
-    return {
-        "residual_real": weights.u_real,
-        "residual_imag": weights.u_imag,
-        "current": weights.current,
-    }
-
-
-def _with_qubo(layout: QuboLayout) -> tuple[Qubo, QuboLayout]:
-    """The weighted sum of the layout's groups, and the layout."""
+def _with_qubo(
+    labels: list[str], groups: dict[str, Qubo], table: dict[str, float], **parts
+) -> tuple[Qubo, QuboLayout]:
+    """The weighted sum of ``groups``, each weighted from ``table``, and
+    their layout, which lists the weights in group order."""
+    layout = QuboLayout(labels, groups, {name: table[name] for name in groups}, **parts)
     total = QuboBuilder(layout.num_vars)
     for name, group in layout.groups.items():
         total.add_qubo(group, layout.weights[name])
@@ -571,21 +555,20 @@ def build_loadflow_qubo(
     bits_real: int = 4,
     bits_imag: int = 4,
     bits_current: int = 4,
-    weights: PenaltyWeights | None = None,
+    weights: PenaltyWeights = PenaltyWeights(),
 ) -> tuple[Qubo, QuboLayout]:
     """Squared-residual penalties of the discretized balance equations for a
     fixed configuration.  Current variables exist only for problem edges of
     the configuration; every other rated edge cannot be violated while the
     voltages stay inside their encoded bands.
     """
-    weights = _resolved(weights, network, None)
     alloc = VarAllocator()
     current_edges = sorted(problem_edges(network) & cfg.edges)
     lf = _loadflow_variables(network, current_edges, bits_real, bits_imag, bits_current, cfg, alloc)
     groups = _residual_groups(
         network, lf, sorted(cfg.edges), lambda eid, nid, part: lf.voltage[nid, part].form(), alloc.count
     )
-    return _with_qubo(QuboLayout(alloc.labels, groups, _residual_weights(weights), loadflow=lf))
+    return _with_qubo(alloc.labels, groups, weights.groups(len(network.edges)), loadflow=lf)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +582,7 @@ def build_n1_qubo(
     bits_real: int = 4,
     bits_imag: int = 4,
     bits_current: int = 4,
-    weights: PenaltyWeights | None = None,
+    weights: PenaltyWeights = PenaltyWeights(),
 ) -> tuple[Qubo, QuboLayout]:
     """Tree search and load-flow residuals coupled through the edge
     membership bits.
@@ -609,7 +592,6 @@ def build_n1_qubo(
     ``z = y * u`` with the pairwise consistency penalty, so an edge outside
     the tree contributes nothing to any balance equation.
     """
-    weights = _resolved(weights, network, failing_edge)
     if levels is None:
         levels = default_levels(network)
     alloc = VarAllocator()
@@ -635,17 +617,15 @@ def build_n1_qubo(
         form[tree.in_tree_bit(eid)] = grid.const
         return form, 0.0
 
-    groups = {
-        **_tree_groups(network, tree, n),
-        **_residual_groups(network, lf, sorted(tree.edge_bits), gated_voltage, n),
-    }
-    group_weights = {**_tree_weights(weights), **_residual_weights(weights), "aux": 1.0}
+    residuals = _residual_groups(network, lf, sorted(tree.edge_bits), gated_voltage, n)
+    groups = {**_tree_groups(network, tree, n), **residuals}
+    table = weights.groups(len(network.edges) - (failing_edge is not None))
 
     # Per-bit consistency weights: each z bit must out-penalize exactly the
     # residual energy it could shave off when misaligned, nothing more.  A
     # uniform worst-case weight (driven by the stiffest cable) would wall off
     # every edge-membership flip and strand the sampler.
-    impact = _flip_impact([(groups[name], w) for name, w in _residual_weights(weights).items()])
+    impact = _flip_impact([(group, table[name]) for name, group in residuals.items()])
     aux_group = QuboBuilder(n)
     for (eid, nid, part), z_bits in sorted(aux_bits.items()):
         gate = tree.in_tree_bit(eid)
@@ -653,7 +633,7 @@ def build_n1_qubo(
             bit_weight = weights.aux if weights.aux is not None else 1.0 + impact.get(z_bit, 0.0)
             aux_group.add_qubo(pair_reduction_penalty(gate, u_bit, z_bit), bit_weight)
     groups["aux"] = aux_group.build(n)
-    return _with_qubo(QuboLayout(alloc.labels, groups, group_weights, tree, lf, aux_bits))
+    return _with_qubo(alloc.labels, groups, table, tree=tree, loadflow=lf, aux_bits=aux_bits)
 
 
 def _flip_impact(weighted_groups: list[tuple[Qubo, float]]) -> dict[int, float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 __all__ = [
     "NetworkError",
@@ -28,7 +28,6 @@ __all__ = [
     "Switchover",
     "parse_network",
     "load_network",
-    "serialize_network",
     "is_spanning_tree",
     "tree_walk",
     "fundamental_cycles",
@@ -213,44 +212,27 @@ class Network:
             lst.sort()
         return adj
 
-    def as_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "type": n.kind,
-                    "u_nom": n.u_nom,
-                    "load": [n.load.real, n.load.imag],
-                    "u_min": n.u_min,
-                    "u_max": n.u_max,
-                }
-                for n in self.nodes
-            ],
-            "edges": [
-                {
-                    "id": e.id,
-                    "n": e.n,
-                    "m": e.m,
-                    "z": [e.z.real, e.z.imag],
-                    "i_max": e.i_max,
-                    "active": e.initially_active,
-                }
-                for e in self.edges
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
-# parsing / serialization
+# parsing
 # ---------------------------------------------------------------------------
 
-def _complex_field(raw, where: str) -> complex:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ParseError(f"{where}: complex values are 2-element [re, im] arrays, got {raw!r}")
+def _number(raw, key: str, where: str) -> float:
+    """A JSON number as a float; a boolean, a string or an integer beyond the
+    float range is rejected rather than coerced."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{where}: {key} must be a number, got {raw!r}")
     try:
-        return complex(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        return float(raw)
+    except OverflowError:
+        raise ParseError(f"{where}: {key} is too large for a float") from None
+
+
+def _complex_field(mapping: Mapping, key: str, where: str) -> complex:
+    raw = _require(mapping, key, where)
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ParseError(f"{where}: complex values are 2-element [re, im] arrays, got {raw!r}")
+    return complex(_number(raw[0], f"{key}[0]", where), _number(raw[1], f"{key}[1]", where))
 
 
 def _bool_field(raw, where: str) -> bool:
@@ -276,59 +258,60 @@ def _int_field(mapping: Mapping, key: str, where: str) -> int:
     return raw
 
 
+def _float_field(mapping: Mapping, key: str, where: str) -> float:
+    return _number(_require(mapping, key, where), key, where)
+
+
+def _objects(doc: Mapping, key: str) -> Iterator[tuple[str, Mapping]]:
+    """The objects of the array under ``doc[key]``, each after its position."""
+    raw = _require(doc, key, "document")
+    if not isinstance(raw, list):
+        raise ParseError(f"document: {key} must be an array of objects, got {raw!r}")
+    for idx, item in enumerate(raw):
+        where = f"{key}[{idx}]"
+        if not isinstance(item, dict):
+            raise ParseError(f"{where}: must be an object, got {item!r}")
+        yield where, item
+
+
 def parse_network(text: str) -> Network:
     """Parse the JSON network format into a validated :class:`Network`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting, or an integer too long to convert
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object with 'nodes' and 'edges'")
-
-    nodes = []
-    for idx, raw in enumerate(_require(doc, "nodes", "document")):
-        where = f"nodes[{idx}]"
-        try:
-            nodes.append(
-                Node(
-                    id=_int_field(raw, "id", where),
-                    kind=str(_require(raw, "type", where)),
-                    u_nom=float(_require(raw, "u_nom", where)),
-                    load=_complex_field(_require(raw, "load", where), where),
-                    u_min=float(_require(raw, "u_min", where)),
-                    u_max=float(_require(raw, "u_max", where)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-
-    edges = []
-    for idx, raw in enumerate(_require(doc, "edges", "document")):
-        where = f"edges[{idx}]"
-        try:
-            edges.append(
-                Edge(
-                    id=_int_field(raw, "id", where),
-                    n=_int_field(raw, "n", where),
-                    m=_int_field(raw, "m", where),
-                    z=_complex_field(_require(raw, "z", where), where),
-                    i_max=float(_require(raw, "i_max", where)),
-                    initially_active=_bool_field(_require(raw, "active", where), where),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-
+    nodes = [
+        Node(
+            id=_int_field(raw, "id", where),
+            kind=str(_require(raw, "type", where)),
+            u_nom=_float_field(raw, "u_nom", where),
+            load=_complex_field(raw, "load", where),
+            u_min=_float_field(raw, "u_min", where),
+            u_max=_float_field(raw, "u_max", where),
+        )
+        for where, raw in _objects(doc, "nodes")
+    ]
+    edges = [
+        Edge(
+            id=_int_field(raw, "id", where),
+            n=_int_field(raw, "n", where),
+            m=_int_field(raw, "m", where),
+            z=_complex_field(raw, "z", where),
+            i_max=_float_field(raw, "i_max", where),
+            initially_active=_bool_field(_require(raw, "active", where), where),
+        )
+        for where, raw in _objects(doc, "edges")
+    ]
     return Network(nodes, edges)
 
 
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_network(handle.read())
-
-
-def serialize_network(network: Network) -> str:
-    return json.dumps(network.as_dict(), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 26
+CHUNK_BITS = 19  # brute_force_minimize scans 2**CHUNK_BITS assignments at a time
 
 
 class Qubo:
@@ -108,10 +109,9 @@ class Qubo:
         return f"Qubo(n={self.n}, terms={len(self.coeffs)}, offset={self.offset!r})"
 
     def dumps(self, labels: Sequence[str] | None = None) -> str:
-        """Text export: one ``i j coeff`` line per term, header with n/offset.
-
-        Round-trips losslessly through :meth:`loads` (floats via repr).
-        """
+        """Text export: a ``# n=.. offset=..`` header, one ``# var i label``
+        line per label, then one ``i j coeff`` line per nonzero term.  Floats
+        are written by ``repr``, so each one reads back exactly."""
         lines = [f"# n={self.n} offset={self.offset!r}"]
         if labels is not None:
             for i, label in enumerate(labels):
@@ -121,36 +121,6 @@ class Qubo:
             if q != 0.0:
                 lines.append(f"{i} {j} {q!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> tuple[Qubo, dict[int, str]]:
-        """Inverse of :meth:`dumps`.  Returns the QUBO and any variable labels."""
-        n = None
-        offset = 0.0
-        labels: dict[int, str] = {}
-        coeffs: dict[tuple[int, int], float] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n="):
-                    head, _, tail = body.partition(" ")
-                    n = int(head[2:])
-                    if tail.startswith("offset="):
-                        offset = float(tail[len("offset="):])
-                elif body.startswith("var "):
-                    _, idx, label = body.split(" ", 2)
-                    labels[int(idx)] = label
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'i j coeff', got {raw!r}")
-            coeffs[(int(parts[0]), int(parts[1]))] = float(parts[2])
-        if n is None:
-            raise ValueError("missing '# n=...' header line")
-        return cls(n, coeffs, offset), labels
 
 
 class QuboBuilder:
@@ -461,7 +431,7 @@ class BruteForceResult:
     num_minima: int
 
 
-def brute_force_minimize(qubo: Qubo, chunk_bits: int = 19) -> BruteForceResult:
+def brute_force_minimize(qubo: Qubo) -> BruteForceResult:
     """Exhaustive scan over all 2^n assignments.
 
     The reported argmin is the lexicographically smallest minimizer (bit 0
@@ -477,7 +447,7 @@ def brute_force_minimize(qubo: Qubo, chunk_bits: int = 19) -> BruteForceResult:
         return BruteForceResult((), qubo.offset, 1)
 
     total = 1 << n
-    chunk = min(total, 1 << chunk_bits)
+    chunk = min(total, 1 << CHUNK_BITS)
     # bit 0 = most significant so ascending integers scan in lexicographic order
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
 

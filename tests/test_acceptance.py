@@ -30,7 +30,7 @@ from gridsec.grover import (
     optimal_iterations,
     success_probability,
 )
-from gridsec.loadflow import admittance
+from gridsec.loadflow import ComplianceOracle, admittance
 from gridsec.network import Configuration, apply_switchover
 from gridsec.n1qubo import (
     build_loadflow_qubo,
@@ -90,7 +90,7 @@ def test_criterion_1_classical_end_to_end(sevenbus):
     compliance = full_report(sevenbus, candidate, tol=1e-9)
     assert compliance.compliant
 
-    witnesses = step1_single_switch(sevenbus)
+    witnesses = step1_single_switch(sevenbus, ComplianceOracle(sevenbus))
     assert witnesses[2] == switch
 
     elapsed = time.perf_counter() - started

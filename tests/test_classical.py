@@ -220,7 +220,7 @@ class TestEnumeration:
 
 class TestStepOne:
     def test_fixture_witnesses(self, sevenbus):
-        witnesses = step1_single_switch(sevenbus)
+        witnesses = step1_single_switch(sevenbus, ComplianceOracle(sevenbus))
         assert sorted(witnesses) == [2, 3, 7, 8]
         cfg = sevenbus.initial_configuration()
         for failing, switch in witnesses.items():
@@ -238,16 +238,16 @@ class TestStepOne:
 
     def test_no_spares_means_no_witnesses(self):
         net = make_network(3, [(0, 1), (1, 2)], {1, 2})
-        assert step1_single_switch(net) == {}
+        assert step1_single_switch(net, ComplianceOracle(net)) == {}
 
     def test_all_candidates_failing(self):
         # the only spare is rated at zero, so every candidate violates
         net = make_network(3, [(0, 1), (1, 2), (0, 2)], {1, 2}, i_max={3: 0.0})
-        assert step1_single_switch(net) == {}
+        assert step1_single_switch(net, ComplianceOracle(net)) == {}
 
     def test_witness_applies_cleanly(self, sevenbus):
         cfg = sevenbus.initial_configuration()
-        for switch in step1_single_switch(sevenbus).values():
+        for switch in step1_single_switch(sevenbus, ComplianceOracle(sevenbus)).values():
             candidate = apply_switchover(cfg, switch)
             assert is_spanning_tree(sevenbus, candidate)
             assert compliant(sevenbus, candidate)
@@ -313,20 +313,20 @@ class TestStepOneReference:
 
 class TestStepTwo:
     def test_empty_remaining(self, sevenbus):
-        assert step2_multi_switch(sevenbus, frozenset(), 2) == {}
+        assert step2_multi_switch(sevenbus, frozenset(), 2, ComplianceOracle(sevenbus)) == {}
 
     def test_k_precondition(self, sevenbus):
         with pytest.raises(ValueError):
-            step2_multi_switch(sevenbus, frozenset({2}), 1)
+            step2_multi_switch(sevenbus, frozenset({2}), 1, ComplianceOracle(sevenbus))
 
     def test_remaining_must_be_active(self, sevenbus):
         with pytest.raises(ValueError):
-            step2_multi_switch(sevenbus, frozenset({4}), 2)
+            step2_multi_switch(sevenbus, frozenset({4}), 2, ComplianceOracle(sevenbus))
 
     def test_passing_tree_covers_all_its_deactivations(self):
         # ring of 4 with two spares; generous ratings make everything pass
         net = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], {1, 2, 3})
-        witnesses = step2_multi_switch(net, frozenset({1, 2}), 2)
+        witnesses = step2_multi_switch(net, frozenset({1, 2}), 2, ComplianceOracle(net))
         assert set(witnesses) >= {1, 2}
         for eid, switch in witnesses.items():
             assert eid in switch.deactivate
@@ -355,8 +355,9 @@ class TestStepTwoReference:
 
     @staticmethod
     def assert_same_as_reference(net):
+        witnessed = set(step1_single_switch(net, ComplianceOracle(net)))
         for k in (2, 3):
-            for remaining in (net.active_ids, net.active_ids - set(step1_single_switch(net))):
+            for remaining in (net.active_ids, net.active_ids - witnessed):
                 oracle, reference = ComplianceOracle(net), ComplianceOracle(net)
                 got = step2_multi_switch(net, frozenset(remaining), k, oracle)
                 assert got == reference_step2(net, frozenset(remaining), k, reference)

@@ -8,8 +8,7 @@ import pytest
 
 from gridsec import anneal, grover, n1qubo
 from gridsec.cli import main
-from gridsec.datasets import bundled_path
-from gridsec.qubo import Qubo
+from gridsec.datasets import bundled_path, load_bundled
 
 SEVENBUS = str(bundled_path("sevenbus"))
 DEMO_K1 = str(bundled_path("demo_single_switch"))
@@ -40,6 +39,32 @@ BAD_WEIGHTS = (
     ('[1]', "--weights must be a JSON object, got [1]"),
     ('5', "--weights must be a JSON object, got 5"),
     ('nope', "--weights is not JSON: Expecting value: line 1 column 1 (char 0)"),
+)
+
+
+
+def sevenbus_with(kind, key, value):
+    """The bundled sevenbus file with ``key`` of its first node or edge set to ``value``."""
+    doc = json.loads(Path(SEVENBUS).read_text())
+    doc[kind][0][key] = value
+    return doc
+
+
+# network documents that `check` rejects, each with its one-line error: the
+# arrays must hold objects, and a number field takes a JSON number alone
+BAD_NETWORK_TYPES = (
+    ({"nodes": 5, "edges": []}, "document: nodes must be an array of objects, got 5"),
+    ({"nodes": [], "edges": None}, "document: edges must be an array of objects, got None"),
+    ({"nodes": {"a": 1}, "edges": []}, "document: nodes must be an array of objects, got {'a': 1}"),
+    ({"nodes": [5], "edges": []}, "nodes[0]: must be an object, got 5"),
+    (sevenbus_with("edges", "i_max", True), "edges[0]: i_max must be a number, got True"),
+    (sevenbus_with("edges", "i_max", "300"), "edges[0]: i_max must be a number, got '300'"),
+    (sevenbus_with("nodes", "load", [True, "5"]), "nodes[0]: load[0] must be a number, got True"),
+    (sevenbus_with("nodes", "load", [0.0, "5"]), "nodes[0]: load[1] must be a number, got '5'"),
+    (sevenbus_with("edges", "z", [0.1, False]), "edges[0]: z[1] must be a number, got False"),
+    (sevenbus_with("nodes", "u_nom", "10500"), "nodes[0]: u_nom must be a number, got '10500'"),
+    (sevenbus_with("nodes", "u_min", None), "nodes[0]: u_min must be a number, got None"),
+    (sevenbus_with("nodes", "u_max", [11000.0]), "nodes[0]: u_max must be a number, got [11000.0]"),
 )
 
 # usage errors, each with the start of its one stderr line; argparse's own
@@ -158,6 +183,34 @@ class TestCheck:
         assert out == ""
         assert err.count("\n") == 1
         assert "load must be finite" in err
+
+
+    @pytest.mark.parametrize("doc, message", BAD_NETWORK_TYPES, ids=[m for _, m in BAD_NETWORK_TYPES])
+    def test_malformed_network_is_one_line(self, capsys, tmp_path, doc, message):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema("network"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--network", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_number_beyond_float_range_is_one_line(self, capsys, tmp_path):
+        # the schema says only "number", which a 401-digit integer is
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(sevenbus_with("edges", "i_max", 10**400)))
+        code, out, err = run(capsys, "check", "--network", str(path))
+        assert (code, out, err) == (1, "", "error: edges[0]: i_max is too large for a float\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}', "maximum recursion depth"),
+        ('{"nodes": [], "edges": [], "x": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ], ids=["nesting", "integer digits"])
+    def test_undecodable_json_is_one_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--network", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid JSON: {message}") and err.count("\n") == 1
 
 
 class TestEnumerate:
@@ -284,9 +337,10 @@ class TestQubo:
             "--out", str(out_path), "--layout-out", str(layout_path),
         )
         assert code == 0
-        qubo, labels = Qubo.loads(out_path.read_text())
+        qubo, layout = n1qubo.build_n1_qubo(load_bundled("sevenbus"), failing_edge=2)
+        assert out_path.read_text() == qubo.dumps(layout.labels)
         layout_doc = json.loads(layout_path.read_text())
-        assert qubo.n == len(layout_doc["variables"]) == len(labels)
+        assert layout_doc["variables"] == {str(i): label for i, label in enumerate(layout.labels)}
         assert f"variables: {qubo.n}" in err
 
     def test_tree_only_is_smaller(self, capsys, tmp_path):
@@ -295,9 +349,11 @@ class TestQubo:
         run(capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2", "--out", str(full))
         run(capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2",
             "--tree-only", "--out", str(tree))
-        full_q, _ = Qubo.loads(full.read_text())
-        tree_q, _ = Qubo.loads(tree.read_text())
-        assert tree_q.n < full_q.n
+
+        def size(path):  # the header reads "# n=<variables> offset=<offset>"
+            return int(path.read_text().split()[1].removeprefix("n="))
+
+        assert size(tree) < size(full)
 
     def test_bad_failing_edge_is_input_error(self, capsys, tmp_path):
         # 99 is no edge at all, 5 an inactive spare; neither writes a QUBO

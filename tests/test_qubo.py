@@ -94,11 +94,13 @@ class TestEvaluate:
             dense[0, 0] = 5.0
 
     def test_export_round_trip(self):
-        q = Qubo(3, {(0, 0): 0.1, (0, 2): -2.5, (1, 2): 1 / 3}, offset=-0.75)
-        text = q.dumps(labels=["a", "b", "c"])
-        back, labels = Qubo.loads(text)
-        assert back == q
-        assert labels == {0: "a", 1: "b", 2: "c"}
+        coeffs = {(0, 0): 0.1, (0, 2): -2.5, (1, 2): 1 / 3, (1, 1): 0.0}
+        q = Qubo(3, coeffs, offset=-0.75)
+        lines = q.dumps(labels=["a", "b", "c"]).splitlines()
+        assert lines[:4] == ["# n=3 offset=-0.75", "# var 0 a", "# var 1 b", "# var 2 c"]
+        terms = [line.split() for line in lines[4:]]
+        assert [(int(i), int(j)) for i, j, _ in terms] == [(0, 0), (0, 2), (1, 2)]  # zeros dropped
+        assert all(float(token) == coeffs[int(i), int(j)] for i, j, token in terms)
 
 
 class TestPenaltyBuilders:
@@ -322,7 +324,7 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="26"):
             brute_force_minimize(Qubo(27, {}))
 
-    def test_matches_exhaustive_reference(self):
+    def test_matches_exhaustive_reference(self, monkeypatch):
         rng = np.random.default_rng(42)
         q = Qubo(
             8,
@@ -332,7 +334,8 @@ class TestBruteForce:
         energies = {bits: q.evaluate(bits) for bits in all_bitstrings(8)}
         best = min(energies.values())
         expected_argmin = min(b for b, e in energies.items() if e == best)
-        result = brute_force_minimize(q, chunk_bits=5)  # force multiple chunks
+        monkeypatch.setattr("gridsec.qubo.CHUNK_BITS", 5)  # force multiple chunks
+        result = brute_force_minimize(q)
         assert result.energy == pytest.approx(best, rel=1e-12)  # summation order differs
         assert result.argmin == expected_argmin
         assert result.num_minima == sum(1 for e in energies.values() if e == best)

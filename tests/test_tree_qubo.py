@@ -320,7 +320,7 @@ class TestDefaults:
 
     def test_weights_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            PenaltyWeights(dw=-1.0).validated()
+            PenaltyWeights(dw=-1.0)
 
     def test_domain_wall_weight_dominates_indicator_dips(self):
         """No assignment of the weighted tree QUBO dips below zero."""
