@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .n1qubo import STRUCTURAL_GROUPS, is_feasible
 from .qubo import Qubo
 
 __all__ = [
@@ -160,8 +159,14 @@ def auto_beta_range(qubo: Qubo) -> tuple[float, float]:
 
 
 def _couplings(qubo: Qubo) -> tuple[np.ndarray, np.ndarray]:
-    """Linear coefficients and the symmetric, zero-diagonal coupling matrix."""
+    """Linear coefficients and the symmetric, zero-diagonal coupling matrix.
+    Raises ``ValueError`` when a variable's single-flip bound, the sum of
+    its |Q|, is beyond the float range, as every field would overflow."""
     upper = qubo.to_dense()
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite(np.abs(upper).sum(axis=0) + np.abs(upper).sum(axis=1))
+    if overflows.any():
+        raise ValueError(f"the coefficients of QUBO variable {overflows.argmax()} sum beyond the float range")
     diag = np.diag(upper).copy()
     sym = upper + upper.T
     np.fill_diagonal(sym, 0.0)
@@ -320,14 +325,9 @@ class EnergyHistogram:
 
 
 def energy_histogram(qubo: Qubo, samples: SampleSet, layout) -> EnergyHistogram:
-    """Bin every sample by energy, tagged by the feasibility rule of
-    :func:`decode_solution` applied to one batched pass per structural group."""
-    penalties = {
-        name: group.energies(samples.samples)
-        for name, group in layout.groups.items()
-        if name in STRUCTURAL_GROUPS
-    }
-    feasible = np.broadcast_to(is_feasible(penalties), (len(samples),))
+    """Bin every sample by energy, tagged by ``layout.feasible``, the
+    feasibility rule of the QUBO's layout."""
+    feasible = layout.feasible(samples.samples)
     bins: dict[float, list[int]] = {}
     for (_, energy, multiplicity), ok in zip(samples, feasible):
         slot = bins.setdefault(round(energy, 9), [0, 0])

@@ -32,7 +32,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .loadflow import DEFAULT_TOLERANCE, ComplianceOracle
+from .loadflow import ComplianceOracle
 from .network import Configuration, Network, Switchover, fundamental_cycles
 from .network import is_spanning_tree  # noqa: F401  (benchmarks/selftest.py checks this name is restored after tracing)
 
@@ -225,11 +225,11 @@ class N1Report:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def check_n1(network: Network, k_max: int, tol: float = DEFAULT_TOLERANCE) -> N1Report:
+def check_n1(network: Network, k_max: int) -> N1Report:
     """Full verdict: step 1, then step 2 with k = 2 .. k_max on the rest."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    oracle = ComplianceOracle(network, tol)
+    oracle = ComplianceOracle(network)
     witnessed: dict[int, tuple[int, Switchover]] = {}
     for eid, switch in step1_single_switch(network, oracle).items():
         witnessed[eid] = (1, switch)

@@ -24,17 +24,19 @@ branches among them largest first, up to the first violation.
 
 Before any walk, the oracle tries to prove a violation from load floors.
 A compliant node keeps ``|U|`` inside its band, so its load admittance Y
-draws at least ``p = Re(Y) |U|^2`` and ``q = -Im(Y) |U|^2`` taken at the
-band edge that makes them smallest.  In a branch holding no OS node but
-the root, with no cable of negative resistance or reactance:
+draws at least the complex floor ``p + jq``, ``p = Re(Y) |U|^2`` and
+``q = -Im(Y) |U|^2`` each at the band edge that makes it smallest.  In a
+branch holding no OS node but the root, with no cable of negative
+resistance or reactance, and with ``s`` the branch's sum of floors:
 
 * the head cable carries the branch's loads plus its losses, so its
-  current is at least ``hypot(max(sum p, 0), max(sum q, 0)) / |U_root|``
+  current is at least ``hypot(max(Re s, 0), max(Im s, 0)) / |U_root|``
   (the branch-exchange argument of Civanlar et al.);
-* each cable lowers ``|U|^2`` by ``2 (r P' + x Q') + |z|^2 |I|^2`` over the
-  receiving-end flows P', Q' (DistFlow, Baran & Wu), and P', Q' are at
-  least the floors fed through it, so dropping the losses, as LinDistFlow
-  does (Gan, Li, Topcu & Low, IEEE TAC 2015), bounds ``|U|^2`` from above.
+* each cable lowers ``|U|^2`` by ``2 Re(S' conj(z)) + |z|^2 |I|^2`` over the
+  receiving-end flow S' (DistFlow, Baran & Wu), and S' is at least the
+  floors fed through it, part by part, so dropping the losses, as
+  LinDistFlow does (Gan, Li, Topcu & Low, IEEE TAC 2015), bounds ``|U|^2``
+  from above.
 
 A head bound above the cable's limit, or a voltage bound below the band,
 proves the switchover non-compliant without a load flow.
@@ -106,7 +108,7 @@ class Admittances:
     """Per-network constants of the tree sweep and the compliance pass.
 
     Nodes are numbered by their position in ``network.nodes``.  ``edges`` maps
-    each edge id, in increasing order, to ``(n, m, 1/z, |1/z|, z, i_max)`` and
+    each edge id, in increasing order, to ``(n, m, z, i_max)`` and
     ``incident`` lists each node's ``(edge id, other end, 1/z, |1/z|)`` by edge
     id.  ``loads``, ``load_scale`` and ``fixed`` (``None`` for an MSR node)
     hold each node's load admittance, its magnitude and fixed voltage.
@@ -114,7 +116,7 @@ class Admittances:
 
     node_ids: tuple[int, ...]
     root: int
-    edges: dict[int, tuple[int, int, complex, float, complex, float]]
+    edges: dict[int, tuple[int, int, complex, float]]
     incident: tuple[tuple[tuple[int, int, complex, float], ...], ...]
     loads: tuple[complex, ...]
     load_scale: tuple[float, ...]
@@ -129,7 +131,7 @@ class Admittances:
         for edge in network.edges:
             i, j = position[edge.n], position[edge.m]
             y = 1.0 / edge.z
-            edges[edge.id] = (i, j, y, abs(y), edge.z, edge.i_max)
+            edges[edge.id] = (i, j, edge.z, edge.i_max)
             incident[i].append((edge.id, j, y, abs(y)))
             incident[j].append((edge.id, i, y, abs(y)))
         loads = tuple(0j if n.kind == OS else admittance(n.load, n.u_nom) for n in network.nodes)
@@ -231,12 +233,6 @@ def solve_loadflow(system: LinearSystem) -> VoltageSolution:
     for nid, col in system.unknown_index.items():
         u[nid] = complex(x[col])
     return VoltageSolution(u=u, residual=residual)
-
-
-def _validated(tol: float) -> float:
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    return tol
 
 
 def _limits(network: Network, tol: float) -> tuple[list[tuple[float, float]], dict[int, float]]:
@@ -379,8 +375,10 @@ def check_compliance(
     Edge current is ``(U_m - U_n) / Z_nm`` for every configuration edge, in
     edge-id order; voltage magnitudes are checked against each node's band.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     u = solution.u
-    volts, amps = _limits(network, _validated(tol))
+    volts, amps = _limits(network, tol)
     voltage_violations = []
     for node, (low, high) in zip(network.nodes, volts):
         mag = abs(u[node.id])
@@ -441,8 +439,8 @@ class ComplianceOracle:
     ``solves`` counts the queries answered, ``screened`` those among them
     proved non-compliant without a load flow.  A result that is not a spanning
     tree, or whose system is singular, is non-compliant; an unknown edge id
-    in :meth:`passes` raises ``ValueError``, and so does a ``tol`` that is
-    not finite and non-negative.
+    in :meth:`passes` raises ``ValueError``.  The bounds rule is
+    ``_limits`` at ``DEFAULT_TOLERANCE``.
 
     A branch is a tree's subtree under one child of the root, solved from its
     own cables and the fixed root voltage alone, so a base branch with no
@@ -458,24 +456,23 @@ class ComplianceOracle:
     cycle, a piece left over) goes to the walk.  A piece's floors leave at its
     base parent and arrive at its attach point, so a new branch's head floor
     is its base sum plus the pieces it gains minus those cut from it, and an
-    attach point's voltage bound is its base bound shifted by each move's
-    floors times the root-path sums of r and x down to the common base
-    ancestor.  The head bound is checked first, then the bound at each attach
-    point; one beyond the tolerant limit by the relative ``SCREEN_MARGIN``
-    answers False.  The screen is off on a grid with a cable of negative r or
-    x, and it leaves to the walk every query that moves a piece holding an OS
-    node, every branch holding a second OS node, and every zero-rated head
-    cable, whose limit ``tol`` sits at the float noise of a currentless cable.
+    attach point's voltage bound is its base bound shifted by ``2 Re(s c)``
+    for each move's floor ``s`` and the root-path sum ``c`` of ``conj(z)``
+    down to the common base ancestor.  The head bound is checked first, then
+    the bound at each attach point; one beyond the tolerant limit by the
+    relative ``SCREEN_MARGIN`` answers False.  The screen is off on a grid
+    with a cable of negative r or x, and it leaves to the walk every query
+    that moves a piece holding an OS node, every branch holding a second OS
+    node, and every zero-rated head cable, whose limit is float noise.
     """
 
-    def __init__(self, network: Network, tol: float = DEFAULT_TOLERANCE):
+    def __init__(self, network: Network):
         self.network = network
-        self.tol = _validated(tol)
         self.calls = 0
         self.solves = 0
         self.screened = 0
         self.admittances = adm = Admittances.of(network)
-        self._limits = _limits(network, self.tol)
+        self._limits = _limits(network, DEFAULT_TOLERANCE)
         self._base = base = network.initial_configuration().edges
 
         order, up_of, link, starts = _tree(adm, base)
@@ -493,9 +490,9 @@ class ComplianceOracle:
 
     def _prepare_screen(self, order, up_of, link, starts) -> None:
         """The screen's constants on the base tree, per node: parent, preorder
-        interval, subtree sums of the floors and of OS nodes, root-path sums
-        of r and x, voltage bound and squared band floor; per cable: its
-        child end and head limit; per branch: head cable and floors; and a
+        interval, subtree sums of the complex floors and of OS nodes, root-path
+        sum of ``conj(z)``, voltage bound and squared band floor; per cable:
+        its child end and head limit; per branch: head cable and floor; and a
         sparse table of the shallowest node over preorder ranges."""
         adm = self.admittances
         volts, amps = self._limits
@@ -515,27 +512,26 @@ class ComplianceOracle:
         for t, v in enumerate(preorder):
             tin[v] = t
         self._tout = tout = [t + 1 for t in tin]
-        floor_p, floor_q = [0.0] * size, [0.0] * size
-        for v, (y, (low, high)) in enumerate(zip(adm.loads, volts)):
-            floor_p[v] = y.real * (low * low if y.real >= 0 else high * high)
-            floor_q[v] = -y.imag * (low * low if y.imag <= 0 else high * high)
+        floors = [  # p + jq
+            complex(y.real * (low * low if y.real >= 0 else high * high),
+                    -y.imag * (low * low if y.imag <= 0 else high * high))
+            for y, (low, high) in zip(adm.loads, volts)
+        ]
         os_below = [int(f is not None) for f in fixed]
         for v in reversed(order):
             up = up_of[v]
-            floor_p[up] += floor_p[v]
-            floor_q[up] += floor_q[v]
+            floors[up] += floors[v]
             os_below[up] += os_below[v]
             tout[up] = max(tout[up], tout[v])
-        depth, path_r, path_x = [0] * size, [0.0] * size, [0.0] * size
+        depth, path = [0] * size, [0j] * size  # path: the root-path sum of r - jx
         bound = [abs(fixed[root]) ** 2] * size
         for v in order:
-            up, z = up_of[v], adm.edges[link[v][0]][4]
+            up, z = up_of[v], adm.edges[link[v][0]][2].conjugate()
             depth[v] = depth[up] + 1
-            path_r[v] = path_r[up] + z.real
-            path_x[v] = path_x[up] + z.imag
-            bound[v] = bound[up] - 2 * (z.real * floor_p[v] + z.imag * floor_q[v])
-        self._floors, self._os_below = (floor_p, floor_q), os_below
-        self._path, self._bound, self._depth = (path_r, path_x), bound, depth
+            path[v] = path[up] + z
+            bound[v] = bound[up] - 2 * (floors[v] * z).real
+        self._floors, self._os_below = floors, os_below
+        self._path, self._bound, self._depth = path, bound, depth
         self._low = [low * low * (1 - SCREEN_MARGIN) for low, _ in volts]
         head_u = abs(fixed[root]) * (1 + SCREEN_MARGIN)
         self._head_limit = {
@@ -543,7 +539,7 @@ class ComplianceOracle:
             for eid, (*_, i_max) in adm.edges.items()
         }
         self._heads = tuple(  # per base branch: head cable and floors, None if it holds an OS node
-            None if os_below[v] else (link[v][0], floor_p[v], floor_q[v])
+            None if os_below[v] else (link[v][0], floors[v])
             for v in (order[lo] for lo in starts[:-1])
         )
         table = [preorder]
@@ -602,19 +598,16 @@ class ComplianceOracle:
                     return i
             return 0
 
-        floor_p, floor_q = self._floors
-        own_p, own_q = [0.0], [0.0]
+        floors, own = self._floors, [0j]
         moves = []  # (base node, floors gained there), losses negative
         for c in cuts:
-            p, q = floor_p[c], floor_q[c]
-            own_p.append(p)
-            own_q.append(q)
+            s = floors[c]
+            own.append(s)
             outer = part(up[c])
             if outer:
-                own_p[outer] -= p
-                own_q[outer] -= q
+                own[outer] -= s
             else:
-                moves.append((up[c], -p, -q))
+                moves.append((up[c], -s))
 
         pending = []
         for a in activations:
@@ -638,39 +631,34 @@ class ComplianceOracle:
         gains = []  # attach points in the root part, with the floors hung there
         for p, x, q, a in reversed(hang):
             if p:
-                own_p[p] += own_p[q]
-                own_q[p] += own_q[q]
+                own[p] += own[q]
             elif x == root:  # a new branch, headed by the activated cable
-                if math.hypot(max(own_p[q], 0.0), max(own_q[q], 0.0)) > limit[a]:
+                if math.hypot(max(own[q].real, 0.0), max(own[q].imag, 0.0)) > limit[a]:
                     return True
             else:
                 gains.append(x)
-                moves.append((x, own_p[q], own_q[q]))
+                moves.append((x, own[q]))
 
         branch_of, heads = self._branch_of, self._heads
         changed = {}  # base branch: the floors it gains, net
-        for m, p, q in moves:
-            b = branch_of[m]
-            if b in changed:
-                p += changed[b][0]
-                q += changed[b][1]
-            changed[b] = p, q
+        for m, s in moves:
+            changed[branch_of[m]] = changed.get(branch_of[m], 0j) + s
         changed.pop(-1, None)  # a cut head cable leaves no branch behind
-        for b, (p, q) in changed.items():
-            head = heads[b]
-            if head and math.hypot(max(head[1] + p, 0.0), max(head[2] + q, 0.0)) > limit[head[0]]:
-                return True
+        for b, s in changed.items():
+            if head := heads[b]:
+                s += head[1]
+                if math.hypot(max(s.real, 0.0), max(s.imag, 0.0)) > limit[head[0]]:
+                    return True
 
-        (path_r, path_x), bound, low = self._path, self._bound, self._low
+        path, bound, low = self._path, self._bound, self._low
         for w in gains:
             b = branch_of[w]
             if heads[b] is None:
                 continue
             ub = bound[w]
-            for m, p, q in moves:
+            for m, s in moves:
                 if branch_of[m] == b:
-                    c = self._common(w, m)
-                    ub -= 2 * (p * path_r[c] + q * path_x[c])
+                    ub -= 2 * (s * path[self._common(w, m)]).real
             if ub < low[w]:
                 return True
         return False
@@ -716,7 +704,7 @@ class ComplianceOracle:
                 if mag < low or mag > high:
                     return False
                 eid = link[v][0]
-                i, j, _, _, z, _ = edges[eid]
+                i, j, z, _ = edges[eid]
                 if abs((u[j] - u[i]) / z) > amps[eid]:
                     return False
         return True

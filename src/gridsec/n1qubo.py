@@ -46,6 +46,7 @@ OS voltage is a grid with no bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -263,6 +264,12 @@ class QuboLayout:
             set_option(var_bits, option)
         return bits
 
+    def feasible(self, samples: np.ndarray) -> np.ndarray:
+        """The feasibility rule of :func:`decode_solution` for every row of
+        ``samples``, from one batched pass per structural group."""
+        penalties = {name: g.energies(samples) for name, g in self.groups.items() if name in STRUCTURAL_GROUPS}
+        return np.broadcast_to(is_feasible(penalties), (len(samples),))
+
     def aux_consistent(self, bits) -> bool:
         for (eid, nid, part), z_bits in self.aux_bits.items():
             gate = bits[self.tree.in_tree_bit(eid)]
@@ -312,7 +319,7 @@ def _tree_variables(
     )
 
 
-def _merge_terms(into: dict[int, float], terms: dict[int, float], sign: float = 1.0) -> None:
+def _merge_terms(into: dict[int, complex], terms: dict[int, float], sign: complex = 1.0) -> None:
     for var, coef in terms.items():
         into[var] = into.get(var, 0.0) + sign * coef
 
@@ -409,12 +416,18 @@ def _with_qubo(
     labels: list[str], groups: dict[str, Qubo], table: dict[str, float], **parts
 ) -> tuple[Qubo, QuboLayout]:
     """The weighted sum of ``groups``, each weighted from ``table``, and
-    their layout, which lists the weights in group order."""
+    their layout, which lists the weights in group order.  Raises
+    ``ValueError`` when the weights make a coefficient or the offset overflow."""
     layout = QuboLayout(labels, groups, {name: table[name] for name in groups}, **parts)
     total = QuboBuilder(layout.num_vars)
     for name, group in layout.groups.items():
         total.add_qubo(group, layout.weights[name])
-    return total.build(layout.num_vars), layout
+    qubo = total.build(layout.num_vars)
+    if not math.isfinite(sum(qubo.coeffs.values(), qubo.offset)):  # finite terms can overflow the sum too
+        for key, q in [*qubo.coeffs.items(), ("offset", qubo.offset)]:
+            if not math.isfinite(q):
+                raise ValueError(f"the penalty weights overflow the QUBO: its {key} term is {q}")
+    return qubo, layout
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +469,20 @@ def _loadflow_variables(
     return LoadflowVars(voltage, current, cfg)
 
 
-def _add_equation(builder: QuboBuilder, form: dict[int, float], const: float) -> None:
-    """Square one residual equation after row equilibration.
+def _add_equation(form: dict[int, complex], const: complex, *builders: QuboBuilder) -> None:
+    """Square the real row of one complex residual equation into the first
+    builder and its imaginary row into the second, if given.
 
-    Each equation is rescaled so its largest coefficient has magnitude one;
+    Each row is rescaled so its largest coefficient has magnitude one;
     without this, a single low-impedance cable (admittance orders of
     magnitude above the rest) dominates every other penalty and leaves the
     sampler no usable energy landscape.
     """
-    magnitude = max([abs(c) for c in form.values()] + [abs(const)], default=0.0)
-    if magnitude <= 0.0:
-        return
-    builder.add_square({v: c / magnitude for v, c in form.items()}, const / magnitude)
+    for builder, part in zip(builders, ("real", "imag")):
+        row, c0 = {v: getattr(c, part) for v, c in form.items()}, getattr(const, part)
+        magnitude = max([abs(c) for c in row.values()] + [abs(c0)], default=0.0)
+        if magnitude > 0.0:
+            builder.add_square({v: c / magnitude for v, c in row.items()}, c0 / magnitude)
 
 
 def _residual_groups(
@@ -482,65 +497,46 @@ def _residual_groups(
     ``voltage(eid, nid, part)`` is the affine form of node ``nid``'s voltage
     part as seen through edge ``eid``: the node's own form for a fixed
     configuration, the gated product ``y_e * U_nid`` in the N-1 QUBO.  The
-    load injection always uses the node's own form.
+    load injection always uses the node's own form.  Each balance and each
+    current is one complex form, whose real and imaginary rows get squared.
     """
-    real_group = QuboBuilder(n)
-    imag_group = QuboBuilder(n)
+    real_group, imag_group, current_group = QuboBuilder(n), QuboBuilder(n), QuboBuilder(n)
     adj: dict[int, list[int]] = {node.id: [] for node in network.nodes}
     for eid in edge_ids:
         edge = network.edge_by_id[eid]
         adj[edge.n].append(eid)
         adj[edge.m].append(eid)
 
-    def add_flow(
-        form: dict[int, float], eid: int, nid: int, other: int, beta: float, gamma: float
-    ) -> float:
-        """Merge beta (Un^R - Um^R) - gamma (Un^I - Um^I) into ``form``, the
-        voltages seen through edge ``eid``; return the expression's constant."""
-        ur_n, cn = voltage(eid, nid, "R")
-        ur_m, cm = voltage(eid, other, "R")
-        ui_n, cin = voltage(eid, nid, "I")
-        ui_m, cim = voltage(eid, other, "I")
-        _merge_terms(form, ur_n, beta)
-        _merge_terms(form, ur_m, -beta)
-        _merge_terms(form, ui_n, -gamma)
-        _merge_terms(form, ui_m, gamma)
-        return beta * (cn - cm) - gamma * (cin - cim)
+    def add_flow(form: dict[int, complex], eid: int, nid: int, other: int) -> complex:
+        """Merge y (U_nid - U_other) into ``form``, the voltages seen through
+        edge ``eid`` with y = 1 / z; return the expression's constant."""
+        y = 1.0 / network.edge_by_id[eid].z
+        seen = [voltage(eid, w, part) for part in "RI" for w in (nid, other)]  # R_n, R_m, I_n, I_m
+        for (terms, _), factor in zip(seen, (y, -y, 1j * y, -1j * y)):
+            _merge_terms(form, terms, factor)
+        (_, cn), (_, cm), (_, cin), (_, cim) = seen
+        return y * complex(cn - cm, cin - cim)
 
     for nid in network.msr_ids:
         node = network.node_by_id[nid]
         y_load = admittance(node.load, node.u_nom)
         ur_terms, ur_const = lf.voltage[nid, "R"].form()
         ui_terms, ui_const = lf.voltage[nid, "I"].form()
-
-        real_form: dict[int, float] = {}
-        imag_form: dict[int, float] = {}
         # injection current of the constant-impedance load: U * Y
-        _merge_terms(real_form, ur_terms, y_load.real)
-        _merge_terms(real_form, ui_terms, -y_load.imag)
-        real_const = y_load.real * ur_const - y_load.imag * ui_const
-        _merge_terms(imag_form, ur_terms, y_load.imag)
-        _merge_terms(imag_form, ui_terms, y_load.real)
-        imag_const = y_load.imag * ur_const + y_load.real * ui_const
-
+        form: dict[int, complex] = {}
+        _merge_terms(form, ur_terms, y_load)
+        _merge_terms(form, ui_terms, 1j * y_load)
+        const = y_load * complex(ur_const, ui_const)
         for eid in adj[nid]:
             edge = network.edge_by_id[eid]
-            other = edge.m if edge.n == nid else edge.n
-            inv_z = 1.0 / edge.z
-            real_const += add_flow(real_form, eid, nid, other, inv_z.real, inv_z.imag)
-            # gamma (Un^R - Um^R) + beta (Un^I - Um^I)
-            imag_const += add_flow(imag_form, eid, nid, other, inv_z.imag, -inv_z.real)
+            const += add_flow(form, eid, nid, edge.m if edge.n == nid else edge.n)
+        _add_equation(form, const, real_group, imag_group)
 
-        _add_equation(real_group, real_form, real_const)
-        _add_equation(imag_group, imag_form, imag_const)
-
-    current_group = QuboBuilder(n)
     for eid, grid in lf.current.items():
         edge = network.edge_by_id[eid]
-        inv_z = 1.0 / edge.z
-        form, const_i = grid.form()
-        const_i += add_flow(form, eid, edge.n, edge.m, inv_z.real, inv_z.imag)
-        _add_equation(current_group, form, const_i)
+        form, const = grid.form()
+        const += add_flow(form, eid, edge.n, edge.m)
+        _add_equation(form, const, current_group)
 
     return {
         "residual_real": real_group.build(n),

@@ -285,6 +285,14 @@ class TestSampler:
             and np.array_equal(a.multiplicities, b.multiplicities)
         )
 
+    def test_overflowing_fields_rejected(self):
+        # every coefficient is finite, but variable 0's flip bound is not
+        q = Qubo(2, {(0, 0): 1e308, (0, 1): 1e308})
+        schedule = AnnealSchedule(seed=1, reads=2, sweeps=10, sweeps_per_beta=10, beta_range=(0.1, 1.0))
+        for sample in (lambda: simulated_annealing(q, schedule), lambda: steepest_descent(q, [0, 0])):
+            with pytest.raises(ValueError, match="coefficients of QUBO variable 0 sum beyond the float range"):
+                sample()
+
     def test_sampleset_sorted_and_totals(self):
         qubo, _ = triangle_tree_qubo()
         samples = simulated_annealing(

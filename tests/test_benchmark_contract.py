@@ -1,9 +1,11 @@
 """Every workload BENCHMARK.json declares, one job at ``DEFAULT_SEED``: its
 answer checks with no problem and no failed operation, and every ceiling
-holds, so a change that would fail the benchmark's run fails here first.
-``benchmarks/`` is imported read-only: no bytecode is written there."""
+holds, so a change that would fail the benchmark's run fails here first;
+and the benchmark's own self-tests pass.  ``benchmarks/`` is imported and
+run read-only: no bytecode is written there."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,12 @@ def test_workload_passes_its_checks(workloads, name):
     assert checked.failed == 0
     for metric, ceiling in wl.ceilings.items():
         assert checked.values[metric] <= ceiling, metric
+
+
+def test_benchmark_selftests_pass():
+    done = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "benchmarks" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.rstrip().endswith("OK"), done.stderr

@@ -41,6 +41,11 @@ BAD_WEIGHTS = (
     ('nope', "--weights is not JSON: Expecting value: line 1 column 1 (char 0)"),
 )
 
+# finite weights that overflow the QUBO or the annealer's fields, each with its one-line error
+OVERFLOWING_WEIGHTS = {
+    "ind": "the penalty weights overflow the QUBO: its (0, 0) term is inf",
+    "dw": "the coefficients of QUBO variable 0 sum beyond the float range",
+}
 
 
 def sevenbus_with(kind, key, value):
@@ -195,9 +200,13 @@ class TestCheck:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_number_beyond_float_range_is_one_line(self, capsys, tmp_path):
-        # the schema says only "number", which a 401-digit integer is
+        # the schema bounds every number by the largest float, which a
+        # 401-digit integer exceeds
+        doc = sevenbus_with("edges", "i_max", 10**400)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema("network"))
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(sevenbus_with("edges", "i_max", 10**400)))
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", "--network", str(path))
         assert (code, out, err) == (1, "", "error: edges[0]: i_max is too large for a float\n")
 
@@ -404,6 +413,16 @@ class TestQubo:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_path.exists()
 
+    def test_overflowing_weights_are_input_errors(self, capsys, tmp_path):
+        # finite weights whose default domain-wall weight 4 ind + 2 |E| overflows
+        out_path = tmp_path / "problem.qubo"
+        code, out, err = run(
+            capsys, "qubo", "--network", SEVENBUS, "--failing-edge", "2",
+            "--weights", '{"ind": 1e308}', "--out", str(out_path),
+        )
+        assert (code, out, err) == (1, "", f"error: {OVERFLOWING_WEIGHTS['ind']}\n")
+        assert not out_path.exists()
+
     def test_resolved_weights_may_be_null(self, capsys, tmp_path):
         out_path = tmp_path / "problem.qubo"
         weights = '{"dw": null, "root": null, "con": null, "ind": null, "aux": null}'
@@ -507,6 +526,17 @@ class TestAnneal:
                     "--reads", "2", "--sweeps", "10", "--seed", "5", "--weights", weights, *mode,
                 )
                 assert (code, out, err) == (1, "", f"error: {message}\n"), (weights, mode)
+
+    @pytest.mark.parametrize("key", sorted(OVERFLOWING_WEIGHTS))
+    def test_overflowing_weights_are_input_errors(self, capsys, key):
+        # "ind" overflows the QUBO itself; "dw" leaves it finite but the
+        # annealer's fields would overflow
+        code, out, err = run(
+            capsys, "anneal", "--network", SEVENBUS, "--failing-edge", "2", "--height", "4",
+            "--reads", "2", "--sweeps", "10", "--sweeps-per-beta", "10", "--seed", "5",
+            "--beta-min", "0.1", "--beta-max", "1", "--weights", json.dumps({key: 1e308}),
+        )
+        assert (code, out, err) == (1, "", f"error: {OVERFLOWING_WEIGHTS[key]}\n")
 
     def test_unwritable_histogram_is_input_error(self, capsys, tmp_path):
         missing = tmp_path / "missing" / "h.csv"

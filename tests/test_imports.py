@@ -42,6 +42,11 @@ def test_classical_loads_only_its_imports():
     assert loaded_by("import gridsec.classical") == (expected, True)
 
 
+def test_anneal_loads_only_the_qubo_module():
+    # the feasibility rule is the layout's, so the sampler needs no N-1 module
+    assert loaded_by("import gridsec.anneal") == (["gridsec", "gridsec.anneal", "gridsec.qubo"], True)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_resolves(name):
     module = importlib.import_module(f"gridsec.{name}")
